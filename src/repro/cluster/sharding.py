@@ -1,8 +1,8 @@
 """Deterministic batch sharding for data-parallel training.
 
 Every rank derives the same global epoch permutation from the shared seed
-(:meth:`repro.core.trainer.Trainer.epoch_permutation` uses the identical
-construction), slices out the same global batch, and takes its own
+(the serial :class:`repro.core.trainer.Trainer` shuffles with the same
+:func:`epoch_permutation`), slices out the same global batch, and takes its own
 contiguous shard — no data ever moves over the fabric, matching the paper's
 setup where each machine stores its partition locally.
 """

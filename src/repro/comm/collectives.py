@@ -14,12 +14,18 @@ algorithm                 messages on critical path  bytes on critical path
 halving-doubling)
 ========================  =========================  ==========================
 
-Every function takes a duck-typed ``comm`` exposing ``rank``, ``size``,
-``send(dst, payload, tag)`` and ``recv(src, tag)``; the real implementation
-is :class:`repro.comm.communicator.Communicator`.  All algorithms reduce with
-exact elementwise addition in rank-deterministic order, so every rank
-computes bit-identical results — the foundation of the sequential-consistency
-guarantee.
+Each algorithm (and the binomial reduce and broadcast the tree is built
+from) is written once, as a step generator.  The blocking ``allreduce_*``,
+``reduce_tree`` and ``bcast_tree`` drive it with ``comm.send``/``comm.recv``;
+:class:`repro.comm.nonblocking.AllreduceRequest` drives it from its progress
+engine — so blocking and nonblocking results are bit-identical.
+
+The blocking functions take a duck-typed ``comm`` exposing ``rank``,
+``size``, ``send(dst, payload, tag)`` and ``recv(src, tag)``; the real
+implementation is :class:`repro.comm.communicator.Communicator`.  All
+algorithms reduce with exact elementwise addition in rank-deterministic
+order, so every rank computes bit-identical results — the foundation of the
+sequential-consistency guarantee.
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ def _coll_span(op: str, comm, payload=None, algorithm: str | None = None):
     The histogram series is ``comm.<op>_s`` labeled by algorithm (where one
     exists), so e.g. tree vs. ring allreduce latencies stay separable; the
     span carries rank/nbytes for the timeline view.  Collapses to the shared
-    no-op before building any attributes when telemetry is disabled.
+    no-op before building any attributes when telemetry is disabled or the
+    world is a single rank (no messages move).
     """
-    if not (_get_tracer().enabled or _get_registry().enabled):
+    if comm.size == 1 or not (_get_tracer().enabled or _get_registry().enabled):
         return NULL_SPAN
     attrs = {"rank": comm.rank, "size": comm.size}
     if payload is not None:
@@ -60,6 +67,8 @@ __all__ = [
     "allreduce_tree",
     "allreduce_ring",
     "allreduce_rhd",
+    "allreduce",
+    "allreduce_steps",
     "allgather_ring",
     "barrier_dissemination",
     "ALLREDUCE_ALGORITHMS",
@@ -70,120 +79,94 @@ __all__ = [
 ]
 
 
-def _vrank(rank: int, root: int, size: int) -> int:
-    return (rank - root) % size
+# Step generators — the one copy of each algorithm.  ``steps(rank, size,
+# post, flat, tag)`` calls ``post(dst, payload, tag)`` for every send, yields
+# ``(src, tag)`` for every message it needs (the driver sends the payload
+# back in) and returns the result.
 
 
-def _actual(vrank: int, root: int, size: int) -> int:
-    return (vrank + root) % size
+def _reduce_steps(rank, size, post, flat, tag, root=0):
+    """Binomial sum-reduction to ``root``; non-root ranks return ``None``.
 
-
-def bcast_tree(comm, value, root: int = 0, tag: int = 0):
-    """Binomial-tree broadcast: ⌈log₂P⌉ stages, P−1 messages total."""
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return value
-    with _coll_span("bcast", comm, value):
-        v = _vrank(rank, root, size)
-        mask = 1
-        while mask < size:
-            if v < mask:
-                dst = v + mask
-                if dst < size:
-                    comm.send(_actual(dst, root, size), value, tag=tag)
-            elif v < 2 * mask:
-                value = comm.recv(_actual(v - mask, root, size), tag=tag)
-            mask <<= 1
-        return value
-
-
-def reduce_tree(comm, array: np.ndarray, root: int = 0, tag: int = 0):
-    """Binomial-tree sum-reduction to ``root``.
-
-    Children are accumulated in ascending-mask order on every rank, so the
-    floating-point summation order is deterministic.  Non-root ranks return
-    ``None``.
+    Children accumulate in ascending-mask order on every rank, so the
+    floating-point summation order is deterministic.
     """
-    size, rank = comm.size, comm.rank
-    acc = np.array(array, dtype=np.float64, copy=True)
-    if size == 1:
-        return acc
-    with _coll_span("reduce", comm, acc):
-        v = _vrank(rank, root, size)
-        mask = 1
-        while mask < size:
-            if v & mask:
-                comm.send(_actual(v - mask, root, size), acc, tag=tag)
-                return None
-            src = v + mask
-            if src < size:
-                acc += comm.recv(_actual(src, root, size), tag=tag)
-            mask <<= 1
-        return acc
+    v = (rank - root) % size
+    mask = 1
+    while mask < size:
+        if v & mask:
+            post((v - mask + root) % size, flat, tag)
+            return None
+        src = v + mask
+        if src < size:
+            flat += yield ((src + root) % size, tag)
+        mask <<= 1
+    return flat
 
 
-def allreduce_tree(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
+def _bcast_steps(rank, size, post, value, tag, root=0):
+    """Binomial broadcast from ``root``: ⌈log₂P⌉ stages, P−1 messages."""
+    v = (rank - root) % size
+    mask = 1
+    while mask < size:
+        if v < mask:
+            if v + mask < size:
+                post((v + mask + root) % size, value, tag)
+        elif v < 2 * mask:
+            value = yield ((v - mask + root) % size, tag)
+        mask <<= 1
+    return value
+
+
+def _tree_steps(rank, size, post, flat, tag):
     """reduce-to-0 followed by broadcast — the paper's log(P) model."""
-    with _coll_span("allreduce", comm, array, algorithm="tree"):
-        reduced = reduce_tree(comm, array, root=0, tag=tag)
-        return bcast_tree(comm, reduced, root=0, tag=tag + 1)
+    reduced = yield from _reduce_steps(rank, size, post, flat, tag)
+    return (yield from _bcast_steps(rank, size, post, reduced, tag + 1))
 
 
-def allreduce_ring(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
-    """Ring allreduce: reduce-scatter then ring allgather.
+def _ring_steps(rank, size, post, flat, tag):
+    """Ring reduce-scatter then ring allgather.
 
     Bandwidth-optimal (each rank moves ≈2n bytes regardless of P); this is
     the algorithm production stacks (NCCL, MLSL) use for large gradient
     tensors.
     """
-    if comm.size == 1:
-        return np.array(array, dtype=np.float64, copy=True)
-    with _coll_span("allreduce", comm, array, algorithm="ring"):
-        size, rank = comm.size, comm.rank
-        flat = np.asarray(array, dtype=np.float64).ravel().copy()
-        # Chunk boundaries follow np.array_split's convention (first n % P
-        # chunks get the extra element) computed arithmetically — no temporary
-        # chunk views on the per-iteration critical path.
-        base, extra = divmod(flat.size, size)
-        offsets = [0] * (size + 1)
-        for r in range(size):
-            offsets[r + 1] = offsets[r] + base + (1 if r < extra else 0)
-        right = (rank + 1) % size
-        left = (rank - 1) % size
+    # Chunk boundaries follow np.array_split's convention (first n % P
+    # chunks get the extra element) computed arithmetically — no temporary
+    # chunk views on the per-iteration critical path.
+    base, extra = divmod(flat.size, size)
+    offsets = [0] * (size + 1)
+    for r in range(size):
+        offsets[r + 1] = offsets[r] + base + (1 if r < extra else 0)
+    right = (rank + 1) % size
+    left = (rank - 1) % size
 
-        # reduce-scatter: after P-1 steps, rank owns the full sum of chunk
-        # (rank+1) % size
-        for step in range(size - 1):
-            send_idx = (rank - step) % size
-            recv_idx = (rank - step - 1) % size
-            comm.send(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag=tag)
-            incoming = comm.recv(left, tag=tag)
-            flat[offsets[recv_idx] : offsets[recv_idx + 1]] += incoming
+    # reduce-scatter: after P-1 steps, rank owns the full sum of chunk
+    # (rank+1) % size
+    for step in range(size - 1):
+        send_idx = (rank - step) % size
+        recv_idx = (rank - step - 1) % size
+        post(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag)
+        incoming = yield (left, tag)
+        flat[offsets[recv_idx] : offsets[recv_idx + 1]] += incoming
 
-        # allgather: circulate the completed chunks
-        for step in range(size - 1):
-            send_idx = (rank - step + 1) % size
-            recv_idx = (rank - step) % size
-            comm.send(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag=tag + 1)
-            incoming = comm.recv(left, tag=tag + 1)
-            flat[offsets[recv_idx] : offsets[recv_idx + 1]] = incoming
+    # allgather: circulate the completed chunks
+    for step in range(size - 1):
+        send_idx = (rank - step + 1) % size
+        recv_idx = (rank - step) % size
+        post(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag + 1)
+        incoming = yield (left, tag + 1)
+        flat[offsets[recv_idx] : offsets[recv_idx + 1]] = incoming
 
-        return flat.reshape(np.asarray(array).shape)
+    return flat
 
 
-def allreduce_rhd(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
-    """Recursive halving-doubling allreduce (power-of-two ranks only).
+def _rhd_steps(rank, size, post, flat, tag):
+    """Recursive halving-doubling (Rabenseifner; power-of-two ranks only).
 
     Latency-optimal message count (2·log₂P) with near-bandwidth-optimal
-    volume (2n·(1−1/P)); Rabenseifner's algorithm.
+    volume (2n·(1−1/P)).
     """
-    size, rank = comm.size, comm.rank
-    if size & (size - 1):
-        raise ValueError("recursive halving-doubling requires power-of-two ranks")
-    flat = np.asarray(array, dtype=np.float64).ravel().copy()
-    n = flat.size
-    if size == 1:
-        return flat.reshape(np.asarray(array).shape)
 
     # Region boundaries come from identical arithmetic on all ranks, so the
     # keep/send splits agree without any coordination messages.
@@ -191,31 +174,100 @@ def allreduce_rhd(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
         mid = (lo + hi) // 2
         return (mid, hi) if take_high else (lo, mid)
 
-    with _coll_span("allreduce", comm, array, algorithm="rhd"):
-        # reduce-scatter by recursive halving; record each level's split so
-        # the allgather can replay it in reverse
-        levels: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-        lo, hi = 0, n
-        mask = size >> 1
-        while mask:
-            partner = rank ^ mask
-            i_am_high = bool(rank & mask)
-            keep = region(lo, hi, i_am_high)
-            give = region(lo, hi, not i_am_high)
-            comm.send(partner, flat[give[0] : give[1]], tag=tag)
-            flat[keep[0] : keep[1]] += comm.recv(partner, tag=tag)
-            levels.append((partner, keep, give))
-            lo, hi = keep
-            mask >>= 1
+    # reduce-scatter by recursive halving; record each level's split so the
+    # allgather can replay it in reverse
+    levels: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
+    lo, hi = 0, flat.size
+    mask = size >> 1
+    while mask:
+        partner = rank ^ mask
+        i_am_high = bool(rank & mask)
+        keep = region(lo, hi, i_am_high)
+        give = region(lo, hi, not i_am_high)
+        post(partner, flat[give[0] : give[1]], tag)
+        flat[keep[0] : keep[1]] += yield (partner, tag)
+        levels.append((partner, keep, give))
+        lo, hi = keep
+        mask >>= 1
 
-        # allgather by recursive doubling: at each reversed level I own
-        # `keep` fully reduced and my partner owns the sibling `give`;
-        # exchanging them reconstructs the parent region.
-        for partner, keep, give in reversed(levels):
-            comm.send(partner, flat[keep[0] : keep[1]], tag=tag + 1)
-            flat[give[0] : give[1]] = comm.recv(partner, tag=tag + 1)
+    # allgather by recursive doubling: at each reversed level I own `keep`
+    # fully reduced and my partner owns the sibling `give`; exchanging them
+    # reconstructs the parent region.
+    for partner, keep, give in reversed(levels):
+        post(partner, flat[keep[0] : keep[1]], tag + 1)
+        flat[give[0] : give[1]] = yield (partner, tag + 1)
 
-        return flat.reshape(np.asarray(array).shape)
+    return flat
+
+
+_ALLREDUCE_STEPS = {"tree": _tree_steps, "ring": _ring_steps, "rhd": _rhd_steps}
+
+
+def allreduce_steps(algorithm: str, size: int):
+    """The step generator of ``algorithm``; ``ValueError`` for an unknown
+    name, or for ``rhd`` on a world whose ``size`` is not a power of two."""
+    if algorithm not in _ALLREDUCE_STEPS:
+        raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
+    if algorithm == "rhd" and size & (size - 1):
+        raise ValueError("recursive halving-doubling requires power-of-two ranks")
+    return _ALLREDUCE_STEPS[algorithm]
+
+
+def _drive(comm, steps):
+    """Run a step generator to completion, answering each ``(src, tag)`` it
+    yields with a blocking ``comm.recv``; returns the generator's result."""
+    try:
+        need = next(steps)
+        while True:
+            need = steps.send(comm.recv(*need))
+    except StopIteration as stop:
+        return stop.value
+
+
+def bcast_tree(comm, value, root: int = 0, tag: int = 0):
+    """Binomial-tree broadcast: ⌈log₂P⌉ stages, P−1 messages total."""
+    with _coll_span("bcast", comm, value):
+        steps = _bcast_steps(comm.rank, comm.size, comm.send, value, tag, root)
+        return _drive(comm, steps)
+
+
+def reduce_tree(comm, array: np.ndarray, root: int = 0, tag: int = 0):
+    """Binomial-tree sum-reduction to ``root``; non-root ranks return
+    ``None``."""
+    acc = np.array(array, dtype=np.float64, copy=True)
+    with _coll_span("reduce", comm, acc):
+        steps = _reduce_steps(comm.rank, comm.size, comm.send,
+                              acc.reshape(-1), tag, root)
+        return None if _drive(comm, steps) is None else acc
+
+
+def allreduce(comm, array: np.ndarray, algorithm: str = "tree",
+              tag: int = 0) -> np.ndarray:
+    """Blocking global sum with ``algorithm``, bitwise identical on every
+    rank."""
+    steps = allreduce_steps(algorithm, comm.size)
+    shape = np.asarray(array).shape
+    flat = np.asarray(array, dtype=np.float64).ravel().copy()
+    with _coll_span("allreduce", comm, array, algorithm=algorithm):
+        flat = _drive(comm, steps(comm.rank, comm.size, comm.send, flat, tag))
+    return flat.reshape(shape)
+
+
+def allreduce_tree(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
+    """Binomial reduce-to-0 followed by broadcast — the paper's log(P)
+    model."""
+    return allreduce(comm, array, "tree", tag)
+
+
+def allreduce_ring(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
+    """Ring allreduce: reduce-scatter then ring allgather (≈2n bytes per
+    rank, independent of P)."""
+    return allreduce(comm, array, "ring", tag)
+
+
+def allreduce_rhd(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
+    """Recursive halving-doubling allreduce (power-of-two ranks only)."""
+    return allreduce(comm, array, "rhd", tag)
 
 
 def allgather_ring(comm, array, tag: int = 0) -> list:
@@ -227,8 +279,6 @@ def allgather_ring(comm, array, tag: int = 0) -> list:
     size, rank = comm.size, comm.rank
     pieces: list = [None] * size
     pieces[rank] = np.array(array, copy=True) if isinstance(array, np.ndarray) else array
-    if size == 1:
-        return pieces
     with _coll_span("allgather", comm, array):
         right, left = (rank + 1) % size, (rank - 1) % size
         for step in range(size - 1):
@@ -242,8 +292,6 @@ def allgather_ring(comm, array, tag: int = 0) -> list:
 def barrier_dissemination(comm, tag: int = 0) -> None:
     """Dissemination barrier: ⌈log₂P⌉ rounds of shifted token exchange."""
     size, rank = comm.size, comm.rank
-    if size == 1:
-        return
     with _coll_span("barrier", comm):
         k = 1
         while k < size:

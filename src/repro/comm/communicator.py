@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import collectives as coll
+from .errors import ClusterHalted
 from .fabric import NetworkProfile, SimulatedFabric
 from .nonblocking import AllreduceRequest, RecvRequest, SendRequest
 
@@ -120,10 +121,7 @@ class Communicator:
 
     def allreduce(self, array: np.ndarray, algorithm: str = "tree") -> np.ndarray:
         """Global sum, identical (bitwise) on every rank."""
-        if algorithm not in coll.ALLREDUCE_ALGORITHMS:
-            raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-        fn = coll.ALLREDUCE_ALGORITHMS[algorithm]
-        return fn(self, array, tag=self._next_tag())
+        return coll.allreduce(self, array, algorithm, tag=self._next_tag())
 
     def iallreduce(
         self, array: np.ndarray, algorithm: str = "tree", copy: bool = True
@@ -198,8 +196,12 @@ def run_cluster(
     """Run ``worker(comm)`` on ``size`` simulated ranks (one thread each).
 
     Returns (per-rank results in rank order, the fabric — whose ``makespan``
-    and ``stats`` carry the simulated time and communication volume).  Any
-    rank raising propagates the first exception after all threads stop.
+    and ``stats`` carry the simulated time and communication volume).
+
+    A rank that raises halts the fabric at once, so peers blocked in
+    ``recv`` unwind with :class:`ClusterHalted` instead of waiting out their
+    timeout.  After all threads stop, the first rank's own error is
+    re-raised — ahead of the ``ClusterHalted`` its peers saw.
 
     ``injector`` installs a :class:`repro.faults.FaultInjector` on the
     fabric; ``recv_timeout`` bounds every blocking receive.
@@ -215,6 +217,8 @@ def run_cluster(
             )
         except BaseException as exc:  # noqa: BLE001 - propagated below
             errors[rank] = exc
+            if not isinstance(exc, ClusterHalted):
+                fabric.halt(f"rank {rank} raised {type(exc).__name__}: {exc}")
 
     threads = [
         threading.Thread(target=target, args=(r,), name=f"rank-{r}", daemon=True)
@@ -226,7 +230,8 @@ def run_cluster(
         t.join(timeout)
         if t.is_alive():
             raise TimeoutError(f"simulated rank {t.name} did not finish")
-    for err in errors:
-        if err is not None:
-            raise err
+    raised = [e for e in errors if e is not None]
+    if raised:
+        # the lowest rank's own error wins over the ClusterHalted it caused
+        raise min(raised, key=lambda e: isinstance(e, ClusterHalted))
     return results, fabric

@@ -206,6 +206,29 @@ class SimulatedFabric:
         return self.injector.decide_send(src, dst)
 
     # -- point-to-point ---------------------------------------------------------
+    def _send(self, kind: str, src: int, dst: int, payload, tag: int,
+              arrival_of) -> float:
+        """The path every send shares; ``arrival_of(nbytes, extra)`` is the
+        caller's clock rule and returns the simulated arrival time.
+
+        ndarray payloads are copied so later in-place mutation by the sender
+        cannot race the receiver (value semantics, like a real wire).
+        ``extra`` is the fault injector's retransmit/backoff delay.
+        """
+        self._check_rank(src)
+        self._check_rank(dst)
+        if src == dst:
+            raise ValueError("self-sends are not allowed; use local state")
+        if isinstance(payload, np.ndarray):
+            payload = payload.copy()
+        nbytes = payload_nbytes(payload)
+        arrival = arrival_of(nbytes, self._fault_delay(src, dst))
+        with self._stats_lock:
+            self.stats.record(nbytes)
+        _record_message(kind, nbytes)
+        self._deliver(Envelope(payload, nbytes, arrival, src, tag), dst)
+        return arrival
+
     def isend(self, src: int, dst: int, payload, tag: int = 0) -> None:
         """Nonblocking send: the sender is only charged the injection
         latency α; the payload still arrives a full α + β·n after the
@@ -215,20 +238,11 @@ class SimulatedFabric:
         (Das et al. 2016; Goyal et al. 2017): compute advanced after an
         ``isend`` happens *concurrently* with the transfer.
         """
-        self._check_rank(src)
-        self._check_rank(dst)
-        if src == dst:
-            raise ValueError("self-sends are not allowed; use local state")
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()
-        nbytes = payload_nbytes(payload)
-        extra = self._fault_delay(src, dst)
-        t_start = self.clocks[src].advance(self.profile.alpha)
-        arrival = t_start + self.profile.beta * nbytes + extra
-        with self._stats_lock:
-            self.stats.record(nbytes)
-        _record_message("isend", nbytes)
-        self._deliver(Envelope(payload, nbytes, arrival, src, tag), dst)
+        def arrival(nbytes: int, extra: float) -> float:
+            t_start = self.clocks[src].advance(self.profile.alpha)
+            return t_start + self.profile.beta * nbytes + extra
+
+        self._send("isend", src, dst, payload, tag, arrival)
 
     def post_send(
         self, src: int, dst: int, payload, tag: int = 0,
@@ -247,45 +261,22 @@ class SimulatedFabric:
         bucketed exchange rolls its own loss/delay decision, exactly like
         the per-message reliable link under blocking sends.
         """
-        self._check_rank(src)
-        self._check_rank(dst)
-        if src == dst:
-            raise ValueError("self-sends are not allowed; use local state")
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()
-        nbytes = payload_nbytes(payload)
-        extra = self._fault_delay(src, dst)
-        t_post = self.clocks[src].time if at_time is None else at_time
-        arrival = t_post + self.profile.transfer_time(nbytes) + extra
-        with self._stats_lock:
-            self.stats.record(nbytes)
-        _record_message("post", nbytes)
-        self._deliver(Envelope(payload, nbytes, arrival, src, tag), dst)
-        return arrival
+        def arrival(nbytes: int, extra: float) -> float:
+            t_post = self.clocks[src].time if at_time is None else at_time
+            return t_post + self.profile.transfer_time(nbytes) + extra
+
+        return self._send("post", src, dst, payload, tag, arrival)
 
     def send(self, src: int, dst: int, payload, tag: int = 0) -> None:
-        """Deliver ``payload`` from ``src`` to ``dst``; advances src's clock.
+        """Deliver ``payload`` from ``src`` to ``dst``; advances src's clock
+        by the whole transfer.  With a fault injector installed,
+        retransmit/backoff delays occupy the sender too (stop-and-wait
+        reliable link)."""
+        def arrival(nbytes: int, extra: float) -> float:
+            cost = self.profile.transfer_time(nbytes) + extra
+            return self.clocks[src].advance(cost)
 
-        ndarray payloads are copied so later in-place mutation by the sender
-        cannot race the receiver (value semantics, like a real wire).  With
-        a fault injector installed, retransmit/backoff delays occupy the
-        sender too (stop-and-wait reliable link).
-        """
-        self._check_rank(src)
-        self._check_rank(dst)
-        if src == dst:
-            raise ValueError("self-sends are not allowed; use local state")
-        if isinstance(payload, np.ndarray):
-            payload = payload.copy()
-        nbytes = payload_nbytes(payload)
-        extra = self._fault_delay(src, dst)
-        cost = self.profile.transfer_time(nbytes) + extra
-        t_send = self.clocks[src].advance(cost)
-        with self._stats_lock:
-            self.stats.record(nbytes)
-        _record_message("send", nbytes)
-        self._deliver(Envelope(payload, nbytes, arrival_time=t_send, src=src,
-                               tag=tag), dst)
+        self._send("send", src, dst, payload, tag, arrival)
 
     def _deliver(self, env: Envelope, dst: int) -> None:
         cond = self._conditions[dst]

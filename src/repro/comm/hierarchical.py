@@ -23,8 +23,9 @@ import math
 import numpy as np
 
 from .collectives import (
-    ALLREDUCE_ALGORITHMS,
+    allreduce,
     allreduce_cost,
+    allreduce_steps,
     bcast_tree,
     reduce_tree,
 )
@@ -74,9 +75,9 @@ def allreduce_hierarchical(
     Every rank calls this collectively (same arguments).  Returns the global
     sum, bit-identical on every rank.
     """
-    if inter_algorithm not in ALLREDUCE_ALGORITHMS:
-        raise ValueError(f"unknown inter-node algorithm {inter_algorithm!r}")
     groups = node_groups(comm.size, node_size)
+    leaders = [g[0] for g in groups]
+    allreduce_steps(inter_algorithm, len(leaders))  # fail fast, on every rank
     my_group = next(g for g in groups if comm.rank in g)
     local = _SubgroupComm(comm, my_group, tag_base=tag)
 
@@ -84,12 +85,10 @@ def allreduce_hierarchical(
     reduced = reduce_tree(local, array, root=0, tag=0)
 
     # 2) inter-node allreduce among leaders
-    leaders = [g[0] for g in groups]
     if comm.rank == my_group[0]:
         if len(leaders) > 1:
             leader_comm = _SubgroupComm(comm, leaders, tag_base=tag + 4)
-            fn = ALLREDUCE_ALGORITHMS[inter_algorithm]
-            reduced = fn(leader_comm, reduced, tag=0)
+            reduced = allreduce(leader_comm, reduced, inter_algorithm, tag=0)
         total = reduced
     else:
         total = None

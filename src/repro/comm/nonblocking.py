@@ -15,10 +15,11 @@ Three request kinds, all sharing the mpi4py ``wait``/``test`` contract:
   polls the mailbox without blocking or advancing any clock, ``wait``
   blocks and then merges the arrival time into the rank clock.
 * :class:`AllreduceRequest` — returned by ``Communicator.iallreduce``; a
-  tag-namespaced state machine running one allreduce algorithm
-  (tree/ring/rhd) incrementally.  Multiple requests can be in flight at
-  once and complete out of order — each owns a private tag block, so
-  interleaved progress can never cross-match messages.
+  tag-namespaced driver that runs one allreduce step generator
+  (tree/ring/rhd, from :mod:`repro.comm.collectives`) incrementally.
+  Multiple requests can be in flight at once and complete out of order —
+  each owns a private tag block, so interleaved progress can never
+  cross-match messages.
 
 Simulated time.  An in-flight operation keeps its own *pipeline clock*
 (``op_time``), modelling a NIC/progress engine that runs concurrently with
@@ -29,16 +30,18 @@ compute: sends are posted at ``op_time`` via :meth:`SimulatedFabric.post_send`
 operation progresses ends at ``max(compute, comm)``, the overlap regime,
 instead of ``compute + comm``.
 
-Bitwise semantics.  The state machines reuse the exact arithmetic of the
-blocking collectives (same pairings, same accumulation order), so an
-``iallreduce`` result is bit-identical to the blocking ``allreduce`` of the
-same buffer with the same algorithm.
+Bitwise semantics.  This module holds no algorithm code: the request drives
+the same step generator the blocking ``allreduce`` drives (same pairings,
+same chunk boundaries, same accumulation order), so an ``iallreduce`` result
+is bit-identical to the blocking ``allreduce`` of the same buffer with the
+same algorithm.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .collectives import allreduce_steps
 from .fabric import SimulatedFabric
 
 __all__ = [
@@ -46,7 +49,6 @@ __all__ = [
     "SendRequest",
     "RecvRequest",
     "AllreduceRequest",
-    "IALLREDUCE_ALGORITHMS",
 ]
 
 
@@ -138,114 +140,6 @@ class RecvRequest(Request):
         return self._payload
 
 
-# --------------------------------------------------------------------------
-# Allreduce state machines.
-#
-# Each algorithm is a generator mirroring its blocking twin in
-# repro.comm.collectives: it posts sends through the owning request (NIC
-# semantics, charged to the operation clock) and *yields* ``(src, tag)``
-# whenever it needs a message; the driver feeds the payload back in.  The
-# arithmetic — pairings, chunk boundaries, accumulation order — is copied
-# verbatim so results are bit-identical to the blocking collectives.
-# --------------------------------------------------------------------------
-
-
-def _tree_steps(op: "AllreduceRequest", flat: np.ndarray, tag: int):
-    """Binomial reduce-to-0 then binomial broadcast (root fixed at 0)."""
-    size, rank = op.size, op.rank
-    acc = flat
-    # reduce phase: children accumulate in ascending-mask order
-    mask = 1
-    reduced = True
-    while mask < size:
-        if rank & mask:
-            op.post(rank - mask, acc, tag)
-            reduced = False
-            break
-        src = rank + mask
-        if src < size:
-            acc += yield (src, tag)
-        mask <<= 1
-    # broadcast phase (tag + 1): non-participants of the reduce tail wait
-    # for the reduced buffer to come back down
-    mask = 1
-    while mask < size:
-        if rank < mask:
-            dst = rank + mask
-            if dst < size:
-                op.post(dst, acc, tag + 1)
-        elif rank < 2 * mask:
-            acc = yield (rank - mask, tag + 1)
-            reduced = True
-        mask <<= 1
-    assert reduced
-    return acc
-
-
-def _ring_steps(op: "AllreduceRequest", flat: np.ndarray, tag: int):
-    """Ring reduce-scatter + ring allgather (same chunking as blocking)."""
-    size, rank = op.size, op.rank
-    base, extra = divmod(flat.size, size)
-    offsets = [0] * (size + 1)
-    for r in range(size):
-        offsets[r + 1] = offsets[r] + base + (1 if r < extra else 0)
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-
-    for step in range(size - 1):
-        send_idx = (rank - step) % size
-        recv_idx = (rank - step - 1) % size
-        op.post(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag)
-        incoming = yield (left, tag)
-        flat[offsets[recv_idx] : offsets[recv_idx + 1]] += incoming
-
-    for step in range(size - 1):
-        send_idx = (rank - step + 1) % size
-        recv_idx = (rank - step) % size
-        op.post(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag + 1)
-        incoming = yield (left, tag + 1)
-        flat[offsets[recv_idx] : offsets[recv_idx + 1]] = incoming
-
-    return flat
-
-
-def _rhd_steps(op: "AllreduceRequest", flat: np.ndarray, tag: int):
-    """Recursive halving-doubling (power-of-two ranks, checked upstream)."""
-    size, rank = op.size, op.rank
-    n = flat.size
-
-    def region(lo: int, hi: int, take_high: bool) -> tuple[int, int]:
-        mid = (lo + hi) // 2
-        return (mid, hi) if take_high else (lo, mid)
-
-    levels: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-    lo, hi = 0, n
-    mask = size >> 1
-    while mask:
-        partner = rank ^ mask
-        i_am_high = bool(rank & mask)
-        keep = region(lo, hi, i_am_high)
-        give = region(lo, hi, not i_am_high)
-        op.post(partner, flat[give[0] : give[1]], tag)
-        flat[keep[0] : keep[1]] += yield (partner, tag)
-        levels.append((partner, keep, give))
-        lo, hi = keep
-        mask >>= 1
-
-    for partner, keep, give in reversed(levels):
-        op.post(partner, flat[keep[0] : keep[1]], tag + 1)
-        flat[give[0] : give[1]] = yield (partner, tag + 1)
-
-    return flat
-
-
-IALLREDUCE_ALGORITHMS = {
-    "tree": _tree_steps,
-    "ring": _ring_steps,
-    "rhd": _rhd_steps,
-}
-
-
 class AllreduceRequest(Request):
     """One in-flight allreduce, progressed incrementally.
 
@@ -263,12 +157,7 @@ class AllreduceRequest(Request):
 
     def __init__(self, comm, array: np.ndarray, algorithm: str, tag: int,
                  copy: bool = True):
-        if algorithm not in IALLREDUCE_ALGORITHMS:
-            raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-        if algorithm == "rhd" and comm.size & (comm.size - 1):
-            raise ValueError(
-                "recursive halving-doubling requires power-of-two ranks"
-            )
+        steps = allreduce_steps(algorithm, comm.size)
         self._comm = comm
         self._fabric: SimulatedFabric = comm.fabric
         self.rank = comm.rank
@@ -283,11 +172,8 @@ class AllreduceRequest(Request):
         self._result: np.ndarray | None = None
         self._done = False
         self._need: tuple[int, int] | None = None
-        if self.size == 1:
-            self._finish(flat)
-        else:
-            self._gen = IALLREDUCE_ALGORITHMS[algorithm](self, flat, tag)
-            self._advance(None, first=True)
+        self._gen = steps(self.rank, self.size, self.post, flat, tag)
+        self._advance(None)
 
     # -- state machine plumbing ---------------------------------------------
     def post(self, dst: int, payload: np.ndarray, tag: int) -> None:
@@ -295,17 +181,15 @@ class AllreduceRequest(Request):
         self._fabric.post_send(self.rank, dst, payload, tag=tag,
                                at_time=self._op_time)
 
-    def _finish(self, result: np.ndarray) -> None:
-        self._result = result.reshape(self._shape)
-        self._done = True
-        self._need = None
-        self._gen = None
-
-    def _advance(self, payload, first: bool = False) -> None:
+    def _advance(self, payload) -> None:
+        """Feed ``payload`` to the step generator; record what it needs
+        next, or its result once it returns."""
         try:
-            self._need = self._gen.send(None if first else payload)
+            self._need = self._gen.send(payload)
         except StopIteration as stop:
-            self._finish(stop.value)
+            self._result = stop.value.reshape(self._shape)
+            self._done = True
+            self._need = self._gen = None
 
     def _consume(self, env) -> None:
         if env.arrival_time > self._op_time:

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..cluster.sharding import epoch_permutation
 from ..nn.layers.base import Module
 from ..nn.losses import SoftmaxCrossEntropy
 from ..nn.memory import MemoryContext
@@ -170,63 +171,6 @@ class Trainer:
             self.model.train()
             return correct.mean
 
-    # -- epoch ordering ----------------------------------------------------------
-    def epoch_permutation(self, n: int, epoch: int) -> np.ndarray:
-        """Deterministic shuffle for ``epoch`` (shared with cluster runs)."""
-        rng = np.random.default_rng((self.shuffle_seed, epoch))
-        return rng.permutation(n)
-
-    def fit_with_batch_schedule(
-        self,
-        x_train: np.ndarray,
-        y_train: np.ndarray,
-        x_test: np.ndarray,
-        y_test: np.ndarray,
-        epochs: int,
-        batch_schedule,
-        callback: Callable[[EpochRecord], None] | None = None,
-    ) -> TrainResult:
-        """Train with an epoch-indexed batch-size schedule (Smith et al.'s
-        "increase the batch size instead of decaying the learning rate" —
-        the follow-on to the paper's large-batch programme).
-
-        ``batch_schedule`` maps epoch → global batch
-        (:class:`repro.core.batch_schedule.BatchSizeSchedule` or any
-        callable).  Each epoch simply runs :meth:`fit`'s inner loop at that
-        epoch's batch size.
-        """
-        n = len(x_train)
-        result = TrainResult()
-        for epoch in range(epochs):
-            batch_size = min(int(batch_schedule(epoch)), n)
-            with _timed("trainer.epoch", epoch=epoch + 1, batch_size=batch_size):
-                order = self.epoch_permutation(n, epoch)
-                loss_avg, acc_avg = RunningMean(), RunningMean()
-                iters = 0
-                lr_last = 0.0
-                for lo in range(0, n, batch_size):
-                    idx = order[lo : lo + batch_size]
-                    lr_last = self.schedule(self.iteration)
-                    loss_val, acc = self.train_step(x_train[idx], y_train[idx])
-                    loss_avg.update(loss_val, weight=len(idx))
-                    acc_avg.update(acc, weight=len(idx))
-                    iters += 1
-                record = EpochRecord(
-                    epoch=epoch + 1,
-                    train_loss=loss_avg.mean,
-                    train_accuracy=acc_avg.mean,
-                    test_accuracy=self.evaluate(x_test, y_test),
-                    learning_rate=lr_last,
-                    iterations=iters,
-                )
-            _publish("trainer.epoch", epoch=record.epoch,
-                     train_loss=record.train_loss,
-                     test_accuracy=record.test_accuracy)
-            result.history.append(record)
-            if callback is not None:
-                callback(record)
-        return result
-
     # -- full loop -----------------------------------------------------------------
     def fit(
         self,
@@ -244,11 +188,45 @@ class Trainer:
         ``micro_batch_size`` forwards to :meth:`train_step`'s gradient
         accumulation — how a memory-limited device runs large batches.
         """
+        return self._fit(x_train, y_train, x_test, y_test, epochs,
+                         lambda epoch: batch_size, callback, micro_batch_size)
+
+    def fit_with_batch_schedule(
+        self,
+        x_train: np.ndarray,
+        y_train: np.ndarray,
+        x_test: np.ndarray,
+        y_test: np.ndarray,
+        epochs: int,
+        batch_schedule,
+        callback: Callable[[EpochRecord], None] | None = None,
+    ) -> TrainResult:
+        """Train with an epoch-indexed batch-size schedule (Smith et al.'s
+        "increase the batch size instead of decaying the learning rate" —
+        the follow-on to the paper's large-batch programme).
+
+        ``batch_schedule`` maps epoch → global batch
+        (:class:`repro.core.batch_schedule.BatchSizeSchedule` or any
+        callable).  Each epoch runs :meth:`fit`'s loop at that epoch's batch
+        size.
+        """
+        return self._fit(x_train, y_train, x_test, y_test, epochs,
+                         batch_schedule, callback, None)
+
+    def _fit(self, x_train, y_train, x_test, y_test, epochs, batch_schedule,
+             callback, micro_batch_size) -> TrainResult:
+        """The epoch loop behind :meth:`fit` and :meth:`fit_with_batch_schedule`.
+
+        Epoch ``e`` visits the examples in
+        ``epoch_permutation(n, e, shuffle_seed)`` order — the same shuffle
+        every rank of a simulated cluster uses.
+        """
         n = len(x_train)
         result = TrainResult()
         for epoch in range(epochs):
+            batch_size = min(int(batch_schedule(epoch)), n)
             with _timed("trainer.epoch", epoch=epoch + 1, batch_size=batch_size):
-                order = self.epoch_permutation(n, epoch)
+                order = epoch_permutation(n, epoch, self.shuffle_seed)
                 loss_avg, acc_avg = RunningMean(), RunningMean()
                 iters = 0
                 lr_last = 0.0

@@ -64,7 +64,18 @@ class TestSharding:
 
         m = mlp(4, [4], 2)
         t = Trainer(m, SGD(m.parameters()), 0.1, shuffle_seed=9)
-        assert np.array_equal(t.epoch_permutation(50, 2), epoch_permutation(50, 2, 9))
+        x = np.random.default_rng(0).normal(size=(50, 4))
+        y = np.zeros(50, dtype=int)
+        batches = []
+        step = t.train_step
+
+        def spy(xb, yb, **kw):
+            batches.append(xb)
+            return step(xb, yb, **kw)
+
+        t.train_step = spy
+        t.fit(x, y, x, y, epochs=3, batch_size=25)
+        assert np.array_equal(np.concatenate(batches[4:]), x[epoch_permutation(50, 2, 9)])
 
 
 class TestPacking:

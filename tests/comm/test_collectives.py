@@ -4,6 +4,8 @@ The key invariant (DESIGN.md §5.2): every allreduce algorithm returns exactly
 the arithmetic sum on every rank, bit-identical across ranks.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,19 +178,44 @@ class TestOtherCollectives:
         assert all(r == (4.0, 40.0) for r in results)
 
 
+class TestFailFast:
+    @pytest.mark.parametrize("raiser", [0, 1])
+    def test_raising_rank_unwinds_blocked_peer(self, raiser):
+        """A rank that raises halts the fabric: its peer, blocked in recv
+        under the default 60 s timeout, unwinds at once, and the original
+        error surfaces rather than the peer's ClusterHalted."""
+
+        def worker(c):
+            if c.rank == raiser:
+                time.sleep(0.2)  # let the peer block in recv first
+                raise KeyError("boom")
+            return c.recv(raiser, tag=5)
+
+        start = time.perf_counter()
+        with pytest.raises(KeyError, match="boom"):
+            run_cluster(2, worker)
+        assert time.perf_counter() - start < 5.0
+
+
 class TestTiming:
     """Simulated fabric time equals the analytic α-β critical path."""
 
-    def test_tree_allreduce_time_matches_model(self):
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    @pytest.mark.parametrize("algorithm", ["tree", "ring", "rhd"])
+    def test_allreduce_time_matches_model(self, algorithm, size):
         prof = NetworkProfile(alpha=1e-3, beta=1e-8)
         n = 1000
 
         def worker(c):
-            c.allreduce(np.zeros(n), algorithm="tree")
+            c.allreduce(np.zeros(n), algorithm=algorithm)
 
-        _, fabric = run_cluster(8, worker, profile=prof)
-        model = allreduce_cost(8, n * 8, prof, "tree")
-        assert fabric.makespan == pytest.approx(model, rel=0.05)
+        _, fabric = run_cluster(size, worker, profile=prof)
+        model = allreduce_cost(size, n * 8, prof, algorithm)
+        assert fabric.makespan == pytest.approx(model, rel=1e-12)
+        lg = size.bit_length() - 1
+        total = {"tree": 2 * (size - 1), "ring": 2 * size * (size - 1),
+                 "rhd": 2 * size * lg}[algorithm]
+        assert fabric.stats.messages == total
 
     def test_ring_faster_than_tree_for_large_messages(self):
         """Bandwidth-bound regime: ring's 2n beats tree's 2·log₂P·n."""

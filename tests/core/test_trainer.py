@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import epoch_permutation
 from repro.core import SGD, ConstantLR, Trainer, iterations_per_epoch
 from repro.nn.models import mlp
 
@@ -108,11 +109,25 @@ def test_callback_invoked_per_epoch():
 
 
 def test_epoch_permutation_deterministic_and_distinct():
+    """fit visits epoch e in epoch_permutation(n, e, shuffle_seed) order:
+    every example once, a fresh order each epoch."""
+    x, y = toy_problem(n=50)
     t = make_trainer(seed=5)
-    p0 = t.epoch_permutation(50, 0)
-    assert np.array_equal(p0, t.epoch_permutation(50, 0))
-    assert not np.array_equal(p0, t.epoch_permutation(50, 1))
-    assert sorted(p0) == list(range(50))
+    batches = []
+    step = t.train_step
+
+    def spy(xb, yb, **kw):
+        batches.append(xb)
+        return step(xb, yb, **kw)
+
+    t.train_step = spy
+    t.fit(x, y, x, y, epochs=2, batch_size=10)
+    seen = [np.concatenate(batches[:5]), np.concatenate(batches[5:])]
+    for epoch in range(2):
+        order = epoch_permutation(50, epoch, 5)
+        assert sorted(order) == list(range(50))
+        assert np.array_equal(seen[epoch], x[order])
+    assert not np.array_equal(seen[0], seen[1])
 
 
 def make_static_trainer(seed=0, lr=0.1):

@@ -70,6 +70,29 @@ class TestCollectiveProperties:
         scaled, _ = run_cluster(size, worker_scaled)
         assert np.allclose(scaled[0], a * plain[0], atol=1e-9)
 
+    @given(size=st.integers(1, 16), n=st.integers(0, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_blocking_equals_nonblocking_bitwise(self, size, n):
+        """Blocking allreduce and iallreduce(...).wait() agree bit for bit,
+        on every rank, for any world and length (n = 0 and n < P too)."""
+        algorithms = ["tree", "ring"] + (["rhd"] if size & (size - 1) == 0 else [])
+
+        def worker(comm):
+            x = np.random.default_rng(comm.rank).normal(size=n)
+            return [(comm.allreduce(x, algorithm=a),
+                     comm.iallreduce(x, algorithm=a).wait()) for a in algorithms]
+
+        results, _ = run_cluster(size, worker)
+        expected = np.sum([np.random.default_rng(r).normal(size=n)
+                           for r in range(size)], axis=0)
+        for i, algorithm in enumerate(algorithms):
+            ref = results[0][i][0]
+            for blocking, nonblocking in (r[i] for r in results):
+                for out in (blocking, nonblocking):
+                    assert out.shape == ref.shape
+                    assert out.tobytes() == ref.tobytes(), algorithm
+            assert np.allclose(ref, expected, atol=1e-12), algorithm
+
     @given(p=st.integers(2, 4096), nbytes=st.integers(1, 10**9),
            algorithm=st.sampled_from(["tree", "ring", "rhd"]))
     @settings(max_examples=50, deadline=None)
