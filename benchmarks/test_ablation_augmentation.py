@@ -28,7 +28,7 @@ def train_with_aug(aug: str, epochs: int = 20, seed: int = 2) -> float:
     opt = SGD(model.parameters(), momentum=0.9, weight_decay=0.0005)
     loss_fn = SoftmaxCrossEntropy()
     loader = BatchLoader(_DS.x_train, _DS.y_train, batch_size=32,
-                         augment=aug, seed=seed, auto_advance=False)
+                         augment=aug, seed=seed)
     best = 0.0
     with np.errstate(all="ignore"):
         for batches in loader.epochs(epochs):

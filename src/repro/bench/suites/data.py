@@ -23,7 +23,7 @@ def _loader(augment):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(_SAMPLES, 3, _IMAGE, _IMAGE))
     y = rng.integers(0, 10, size=_SAMPLES)
-    return BatchLoader(x, y, _BATCH, augment=augment, seed=0, auto_advance=False)
+    return BatchLoader(x, y, _BATCH, augment=augment, seed=0)
 
 
 def _epoch(loader):

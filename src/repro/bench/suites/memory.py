@@ -1,8 +1,9 @@
 """Benchmarks for the static-memory subsystem: arena ops, planned steps.
 
-The planned-vs-eager train-step pairs are the headline numbers: a planned
-step runs the bitwise-identical computation out of persistent arena slots,
-so the delta is pure allocator/page-fault cost.  ``plan.build`` is timed
+The planned-vs-eager train-step pairs are the headline numbers: both run
+the same layer code, the "eager" (unbound) step on fresh arrays and the
+planned one out of persistent arena slots, so the delta is pure
+allocator/page-fault cost.  ``plan.build`` is timed
 too because the planner runs at trainer construction (it must stay cheap
 enough to call per configuration).
 """

@@ -126,8 +126,8 @@ class SyncSGDConfig:
     static_memory:
         Each rank binds a :class:`repro.nn.MemoryContext` to its replica
         and loss, so steady-state steps run allocation-free out of a
-        per-rank arena.  Results are bitwise identical to the eager run
-        (``False``, the escape hatch).
+        per-rank arena.  Only the allocator changes: ``False`` runs the
+        same layer code on fresh arrays, with bitwise-identical results.
     shuffle_seed:
         Must match the serial trainer's for consistency comparisons.
     eval_every:

@@ -81,8 +81,10 @@ class Trainer:
         serial and simulated-cluster runs see identical batch streams.
     static_memory:
         Bind a :class:`repro.nn.MemoryContext` to the model and loss so
-        steady-state steps run allocation-free out of a persistent arena
-        (bitwise-identical results; ``False`` is the eager escape hatch).
+        steady-state steps run allocation-free out of a persistent arena.
+        This picks the layers' allocator, not their code: ``False`` runs
+        the same arithmetic on fresh arrays, with bitwise-identical
+        results.
     """
 
     def __init__(
@@ -107,7 +109,7 @@ class Trainer:
             self.loss.bind_memory(self.memory)
 
     def arena_stats(self) -> dict | None:
-        """Arena accounting snapshot, or ``None`` when running eager."""
+        """Arena accounting snapshot, or ``None`` without static memory."""
         return self.memory.arena.stats() if self.memory is not None else None
 
     # -- single step -----------------------------------------------------------

@@ -8,15 +8,11 @@ single place augmentation hooks in.
 Epoch advance is explicit: iterating the loader always yields the *current*
 epoch (same shuffle, same augmentation draws, every time), and training
 loops step epochs with :meth:`BatchLoader.epochs` or
-:meth:`BatchLoader.set_epoch`.  The historical behaviour — ``__iter__``
-silently advancing the epoch, so two ``list(loader)`` calls returned
-different data — survives behind ``auto_advance=True`` and a deprecation
-warning for callers that still rely on it implicitly.
+:meth:`BatchLoader.set_epoch`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Iterator
 
 import numpy as np
@@ -45,10 +41,6 @@ class BatchLoader:
         the same slices the simulated cluster uses.
     seed:
         Drives both the epoch shuffle and the augmentation randomness.
-    auto_advance:
-        ``True`` restores the deprecated implicit epoch advance at the end
-        of every ``__iter__``; the default (``None``) keeps that behaviour
-        but warns once, and ``False`` opts into the explicit API.
     reuse_buffers:
         Gather each shard into a persistent per-loader batch buffer with
         ``np.take(..., out=...)`` instead of allocating a fresh fancy-index
@@ -67,7 +59,6 @@ class BatchLoader:
         rank: int = 0,
         seed: int = 0,
         shuffle: bool = True,
-        auto_advance: bool | None = None,
         reuse_buffers: bool = False,
     ):
         if len(x) != len(y):
@@ -82,7 +73,6 @@ class BatchLoader:
         self.seed = seed
         self.shuffle = shuffle
         self.epoch = 0
-        self._auto_advance = auto_advance
         self._order_cache: tuple[int, np.ndarray] | None = None
         self.reuse_buffers = bool(reuse_buffers)
         self._xbuf: np.ndarray | None = None
@@ -177,22 +167,5 @@ class BatchLoader:
         return xv, yv
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Iterate the current epoch's batches.
-
-        With ``auto_advance`` unset or ``True``, the epoch advances after
-        the last batch (deprecated implicit behaviour); with ``False`` the
-        loader stays on the current epoch until told otherwise.
-        """
-        yield from self._iter_epoch()
-        if self._auto_advance or self._auto_advance is None:
-            if self._auto_advance is None:
-                warnings.warn(
-                    "BatchLoader.__iter__ advanced the epoch implicitly; this "
-                    "is deprecated — iterate loader.epochs(n) / call "
-                    "set_epoch(), or pass auto_advance=True to keep the old "
-                    "behaviour silently",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                self._auto_advance = True
-            self.epoch += 1
+        """Iterate the current epoch's batches (the epoch does not advance)."""
+        return self._iter_epoch()

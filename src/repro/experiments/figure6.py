@@ -28,8 +28,7 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
     for b in BATCHES:
         proxy_b = max(1, b * ds.n_train // IMAGENET_TRAIN_SIZE) * 8
         loader = BatchLoader(ds.x_train, ds.y_train,
-                             batch_size=min(proxy_b, ds.n_train),
-                             auto_advance=False)
+                             batch_size=min(proxy_b, ds.n_train))
         touched = sum(len(yb) for _, yb in loader)
         rows.append(
             {

@@ -1,16 +1,16 @@
 """Elementwise activation layers.
 
-Each layer has two code paths: the original eager one (allocates its
-result, unchanged numerics) and a buffered one used when a memory context
-is bound via ``Module.bind_memory`` or the caller passes ``out=``.  The
-buffered paths produce bitwise-identical results for finite inputs — e.g.
-``np.maximum(x, 0.0, out=y)`` reproduces ``np.where(x > 0, x, 0.0)``
-exactly, including the ``+0.0`` sign at masked-off elements, and
-``np.multiply(g, mask, out=dx)`` followed by ``dx += 0.0`` reproduces
-``np.where(mask, g, 0.0)`` (the ``+= 0.0`` rewrites the ``-0.0`` a
-negative gradient leaves behind; both forms differ from ``np.where`` only
-on non-finite inputs, which the eager path would have turned into NaNs one
-layer later anyway).
+Each layer has one code path.  Its buffers come from ``Module._buf`` /
+``Module._scratch``: arena slots when a memory context is bound via
+``Module.bind_memory``, fresh arrays otherwise, so the arithmetic is the
+same under both allocation policies.  The formulas are written with ufunc
+``out=`` calls and reproduce the textbook ``np.where`` forms bitwise for
+finite inputs — e.g. ``np.maximum(x, 0.0, out=y)`` equals
+``np.where(x > 0, x, 0.0)``, including the ``+0.0`` sign at masked-off
+elements, and ``np.multiply(g, mask, out=dx)`` followed by ``dx += 0.0``
+equals ``np.where(mask, g, 0.0)`` (the ``+= 0.0`` rewrites the ``-0.0`` a
+negative gradient leaves behind; the forms differ only on non-finite
+inputs, which would turn into NaNs one layer later anyway).
 """
 
 from __future__ import annotations
@@ -37,16 +37,13 @@ class _Elementwise(Module):
 class ReLU(_Elementwise):
     """max(x, 0)."""
 
-    _fusion_source = True  # buffered forward writes ``out`` via one ufunc
+    _fusion_source = True  # forward writes ``out`` via one ufunc
 
     def __init__(self) -> None:
         super().__init__()
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self._memory is None and out is None:
-            self._mask = x > 0
-            return np.where(self._mask, x, 0.0)
         mask = self._buf("mask", x.shape, np.bool_)
         np.greater(x, 0, out=mask)
         self._mask = mask
@@ -57,10 +54,6 @@ class ReLU(_Elementwise):
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        if self._memory is None and out is None:
-            dx = np.where(self._mask, grad_out, 0.0)
-            self._mask = None
-            return dx
         dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, self._mask, out=dx)
         dx += 0.0
@@ -76,17 +69,8 @@ class Sigmoid(_Elementwise):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self._memory is None and out is None:
-            # numerically stable logistic: exp only ever sees non-positive args
-            y = np.empty_like(x, dtype=np.float64)
-            pos = x >= 0
-            y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            y[~pos] = ex / (1.0 + ex)
-            self._y = y
-            return self._y
-        # Same stable split, computed in place under ufunc ``where=`` masks;
-        # per element the operation sequence is identical to the eager path.
+        # Numerically stable logistic, split under ufunc ``where=`` masks:
+        # exp only ever sees non-positive arguments.
         pos = self._buf("pos", x.shape, np.bool_)
         np.greater_equal(x, 0, out=pos)
         neg = self._buf("neg", x.shape, np.bool_)
@@ -109,10 +93,6 @@ class Sigmoid(_Elementwise):
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._y is None:
             raise RuntimeError("backward called before forward")
-        if self._memory is None and out is None:
-            dx = grad_out * self._y * (1.0 - self._y)
-            self._y = None
-            return dx
         dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, self._y, out=dx)
         t = self._scratch(grad_out.shape, np.float64)
@@ -131,9 +111,6 @@ class Tanh(_Elementwise):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self._memory is None and out is None:
-            self._y = np.tanh(x)
-            return self._y
         y = out if out is not None else self._buf("y", x.shape, x.dtype)
         np.tanh(x, out=y)
         self._y = y
@@ -142,10 +119,6 @@ class Tanh(_Elementwise):
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._y is None:
             raise RuntimeError("backward called before forward")
-        if self._memory is None and out is None:
-            dx = grad_out * (1.0 - self._y * self._y)
-            self._y = None
-            return dx
         t = self._scratch(grad_out.shape, np.float64)
         np.multiply(self._y, self._y, out=t)
         np.subtract(1.0, t, out=t)

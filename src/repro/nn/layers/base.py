@@ -32,11 +32,12 @@ class Module:
     """Base class for all layers and containers."""
 
     #: bound memory context (class attribute: unbound modules pay nothing).
-    #: When set, layers compute into persistent arena slots instead of
-    #: allocating; when ``None`` every code path is the original eager one.
+    #: It only picks the allocator: every layer has one code path, whose
+    #: :meth:`_buf`/:meth:`_scratch` requests come from the context's arena
+    #: when one is bound and from ``np.empty`` when this is ``None``.
     _memory = None
 
-    #: True on layers whose buffered ``forward`` writes ``out`` with plain
+    #: True on layers whose ``forward`` writes ``out`` with plain
     #: ufunc ``out=`` calls and therefore accepts a *non-contiguous* target.
     #: Only such layers may compute straight into a successor's padded-input
     #: slot (see :meth:`input_slot`); layers that stage through
@@ -60,16 +61,18 @@ class Module:
     def bind_memory(self, memory) -> "Module":
         """Bind a :class:`repro.nn.memory.MemoryContext` to this subtree.
 
-        Every descendant computes into persistent arena slots from the next
-        forward on; results stay bitwise identical to the unbound paths
-        (asserted by ``tests/nn/test_memory_parity.py``).  Returns ``self``.
+        From the next forward on, every descendant's buffer requests are
+        served by persistent arena slots instead of fresh arrays.  The
+        arithmetic is the same code either way, so results stay bitwise
+        identical (asserted by ``tests/nn/test_memory_parity.py``).
+        Returns ``self``.
         """
         for m in self.modules():
             m._memory = memory
         return self
 
     def unbind_memory(self) -> "Module":
-        """Escape hatch: revert the subtree to the allocating code paths."""
+        """Detach the subtree's context: buffers are freshly allocated again."""
         for m in self.modules():
             vars(m).pop("_memory", None)
         return self
@@ -303,25 +306,15 @@ class Sequential(Module):
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         layers = self.layers
-        if self._memory is None:
-            if out is None:
-                for layer in layers:
-                    x = layer.forward(x)
-                return x
-            if not layers:
-                np.copyto(out, x)
-                return out
-            for layer in layers[:-1]:
-                x = layer.forward(x)
-            return layers[-1].forward(x, out=out)
-        # Memory-bound: when a layer can write a non-contiguous target and
-        # its successor exposes a padded-input slot, compute straight into
-        # that slot's interior — the successor skips its interior copy.
         if not layers:
             if out is None:
                 return x
             np.copyto(out, x)
             return out
+        # When a layer can write a non-contiguous target and its successor
+        # exposes a padded-input slot (only while a memory context is
+        # bound), compute straight into that slot's interior — the
+        # successor skips its interior copy.
         shapes = self._layer_out_shapes(x.shape)
         last = len(layers) - 1
         for i, layer in enumerate(layers):

@@ -40,8 +40,6 @@ class ConcatBranches(Module):
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         outs = [b.forward(x) for b in self.branches]
         self._splits = [o.shape[1] for o in outs]
-        if self._memory is None and out is None:
-            return np.concatenate(outs, axis=1)
         n = outs[0].shape[0]
         shape = (n, sum(self._splits), *outs[0].shape[2:])
         y = out if out is not None else self._buf("y", shape, np.float64)
@@ -51,23 +49,18 @@ class ConcatBranches(Module):
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._splits is None:
             raise RuntimeError("backward called before forward")
-        buffered = self._memory is not None or out is not None
         dx = None
         lo = 0
         for i, (branch, width) in enumerate(zip(self.branches, self._splits)):
             g = grad_out[:, lo : lo + width]
-            if buffered:
-                gbuf = self._buf(f"g{i}", g.shape, np.float64)
-                np.copyto(gbuf, g)
-                contrib = branch.backward(gbuf)
-                if dx is None:
-                    dx = out if out is not None else self._buf("dx", contrib.shape, np.float64)
-                    np.copyto(dx, contrib)
-                else:
-                    dx += contrib
+            gbuf = self._buf(f"g{i}", g.shape, np.float64)
+            np.copyto(gbuf, g)
+            contrib = branch.backward(gbuf)
+            if dx is None:
+                dx = out if out is not None else self._buf("dx", contrib.shape, np.float64)
+                np.copyto(dx, contrib)
             else:
-                contrib = branch.backward(np.ascontiguousarray(g))
-                dx = contrib if dx is None else dx + contrib
+                dx += contrib
             lo += width
         self._splits = None
         return dx

@@ -12,8 +12,8 @@ Hot-path structure (measured by ``repro.bench``, guarded by the parity tests
 in ``tests/nn/test_conv_parity.py``):
 
 * :func:`im2col_view` exposes the zero-copy strided patch view; the public
-  :func:`im2col` materialises it into a caller-supplied ``out=`` buffer so
-  steady-state iterations reuse one workspace instead of reallocating.
+  :func:`im2col` materialises it into a caller-supplied ``out=`` buffer
+  (an arena slot when a memory context is bound).
 * :func:`col2im` takes a single vectorised scatter when the windows cannot
   overlap (``stride >= kernel``) and falls back to the per-offset
   slice-add loop otherwise.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..initializers import Initializer, he_normal, zeros
-from ..tensor import Parameter, Workspace, cached_einsum
+from ..tensor import Parameter, cached_einsum
 from .base import Module, Shape
 
 __all__ = ["Conv2D", "im2col", "im2col_view", "col2im", "col2im_clipped", "conv_output_hw"]
@@ -215,10 +215,10 @@ class Conv2D(Module):
         Square window geometry.
     bias:
         ResNet convolutions that feed BatchNorm omit the bias.
-    fast_paths:
-        Enables the 1×1 im2col-free route and workspace reuse.  The general
-        route is kept selectable so the parity tests can assert both produce
-        bitwise-identical results; production code never disables it.
+
+    ``tests/nn/eager_layers.py`` keeps the general im2col route (every
+    kernel through ``im2col``/``col2im``, no 1×1 shortcut) as the oracle
+    this layer is checked against bitwise.
     """
 
     def __init__(
@@ -233,7 +233,6 @@ class Conv2D(Module):
         weight_init: Initializer = he_normal,
         bias_init: Initializer = zeros,
         rng: np.random.Generator | None = None,
-        fast_paths: bool = True,
     ):
         super().__init__()
         if in_channels % groups or out_channels % groups:
@@ -245,12 +244,10 @@ class Conv2D(Module):
         self.stride = stride
         self.padding = padding
         self.groups = groups
-        self.fast_paths = bool(fast_paths)
         wshape = (out_channels, in_channels // groups, kernel_size, kernel_size)
         self.weight = Parameter(weight_init(wshape, rng))
         self.bias = Parameter(bias_init((out_channels,), rng), weight_decay=0.0) if bias else None
         self._cache: tuple | None = None
-        self._workspace = Workspace()
         self._xpad_primed: np.ndarray | None = None
         self._fused_x: np.ndarray | None = None
 
@@ -272,7 +269,7 @@ class Conv2D(Module):
 
     def _is_pointwise(self) -> bool:
         """1×1 unpadded kernels need no patch extraction at all."""
-        return self.fast_paths and self.kernel_size == 1 and self.padding == 0
+        return self.kernel_size == 1 and self.padding == 0
 
     def input_slot(self, x_shape, dtype):
         """Interior view of the persistent padded-input slot.
@@ -309,54 +306,39 @@ class Conv2D(Module):
         k, s, p, g = self.kernel_size, self.stride, self.padding, self.groups
         cg = c // g
         og = self.out_channels // g
-        buffered = self._memory is not None or out is not None
         oh, ow = conv_output_hw(h, w, k, k, s, p)
         if self._is_pointwise():
             # The "columns" of a 1×1 kernel are the input pixels themselves
             # (stride just subsamples them) — no im2col copy.
             if s == 1:
                 cols_g = x.reshape(n, g, cg, oh * ow)
-            elif buffered:
+            else:
                 xs = self._buf("xs", (n, c, oh, ow), x.dtype)
                 xs[...] = x[:, :, ::s, ::s]
                 cols_g = xs.reshape(n, g, cg, oh * ow)
-            else:
-                cols_g = x[:, :, ::s, ::s].reshape(n, g, cg, oh * ow)
         else:
-            if buffered:
-                cols = self._buf("cols", (n, c * k * k, oh * ow), x.dtype)
-                if p > 0:
-                    # Persistent pre-padded input slot: the zero border is
-                    # written once (the slot is exclusive to this layer, so
-                    # it survives across steps) and each step only copies
-                    # the interior — strictly less traffic than np.pad.
-                    # When a fused producer already wrote the interior
-                    # (``input_slot``), even that copy is skipped.
-                    xpad = self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
-                    if x is not self._fused_x:
-                        if self._xpad_primed is not xpad:
-                            xpad[...] = 0.0
-                            self._xpad_primed = xpad
-                        xpad[:, :, p:-p, p:-p] = x
-                    im2col(xpad, k, k, s, 0, out=cols)
-                else:
-                    im2col(x, k, k, s, 0, out=cols)
+            cols = self._buf("cols", (n, c * k * k, oh * ow), x.dtype)
+            if p > 0:
+                # Pre-padded input buffer: the zero border is written only
+                # when the buffer is new (a bound slot is exclusive to this
+                # layer, so it survives across steps) and each step copies
+                # just the interior.  When a fused producer already wrote
+                # the interior (``input_slot``), even that copy is skipped.
+                xpad = self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
+                if x is not self._fused_x:
+                    if self._xpad_primed is not xpad:
+                        xpad[...] = 0.0
+                        self._xpad_primed = xpad
+                    xpad[:, :, p:-p, p:-p] = x
+                im2col(xpad, k, k, s, 0, out=cols)
             else:
-                out_buf = (
-                    self._workspace.get("cols", (n, c * k * k, oh * ow), x.dtype)
-                    if self.fast_paths
-                    else None
-                )
-                cols, _ = im2col(x, k, k, s, p, out=out_buf)
+                im2col(x, k, k, s, 0, out=cols)
             cols_g = cols.reshape(n, g, cg * k * k, oh * ow)
         w2 = self.weight.data.reshape(g, og, cg * k * k)
-        # (1, g, og, ckk) @ (n, g, ckk, L) -> (n, g, og, L): BLAS batched GEMM.
-        if buffered:
-            y = out if out is not None else self._buf("y", (n, self.out_channels, oh, ow), x.dtype)
-            np.matmul(w2[None], cols_g, out=y.reshape(n, g, og, oh * ow))
-        else:
-            y = np.matmul(w2[None], cols_g)
-            y = y.reshape(n, self.out_channels, oh, ow)
+        # (1, g, og, ckk) @ (n, g, ckk, L) -> (n, g, og, L): BLAS batched GEMM,
+        # in the float64 of the weights whatever the input dtype.
+        y = out if out is not None else self._buf("y", (n, self.out_channels, oh, ow), np.float64)
+        np.matmul(w2[None], cols_g, out=y.reshape(n, g, og, oh * ow))
         if self.bias is not None:
             y += self.bias.data[None, :, None, None]
         self._cache = (x.shape, cols_g, (oh, ow))
@@ -372,57 +354,35 @@ class Conv2D(Module):
         og = self.out_channels // g
         ckk = cols_g.shape[2]
         span = oh * ow
-        buffered = self._memory is not None or out is not None
         go = grad_out.reshape(n, g, og, span)
         w2 = self.weight.data.reshape(g, og, ckk)
-        # Gradient GEMM destinations: arena scratch/slot when planned, the
-        # layer workspace when eager (same reuse forward's im2col gets), and
-        # fresh arrays only on the parity-test escape hatch.
-        if buffered:
-            dw = self._scratch((g, og, ckk), np.float64)
-            dcols = self._buf("dcols", (n, g, ckk, span), np.float64)
-        elif self.fast_paths:
-            dw = self._workspace.get("dw", (g, og, ckk), np.float64)
-            dcols = self._workspace.get("dcols", (n, g, ckk, span), np.float64)
-        else:
-            dw = None
-            dcols = None
+        dw = self._scratch((g, og, ckk), np.float64)
+        dcols = self._buf("dcols", (n, g, ckk, span), np.float64)
         if n * g * og * ckk * span <= _BATCHED_MATMUL_MAX_MACS:
             # Fold the batch into the GEMM columns: one (og × nL)·(nL × ckk)
-            # product per group beats einsum's dispatch overhead here.
-            if buffered:
-                t1 = self._scratch((g, og, n, span), np.float64)
-                t1[...] = go.transpose(1, 2, 0, 3)
-                t2 = self._scratch((g, n, span, ckk), np.float64)
-                t2[...] = cols_g.transpose(1, 0, 3, 2)
-                np.matmul(
-                    t1.reshape(g, og, n * span), t2.reshape(g, n * span, ckk), out=dw
-                )
-                self._drop(t2)
-                self._drop(t1)
-            else:
-                dw = np.matmul(
-                    go.transpose(1, 2, 0, 3).reshape(g, og, n * span),
-                    cols_g.transpose(1, 0, 3, 2).reshape(g, n * span, ckk),
-                    out=dw,
-                )
-            dcols = np.matmul(w2.transpose(0, 2, 1)[None], go, out=dcols)
+            # product per group beats einsum's dispatch overhead here.  The
+            # staging copies keep their operands' dtypes, so the GEMM runs
+            # in the precision of ``grad_out``/``cols``.
+            t1 = self._scratch((g, og, n, span), grad_out.dtype)
+            t1[...] = go.transpose(1, 2, 0, 3)
+            t2 = self._scratch((g, n, span, ckk), cols_g.dtype)
+            t2[...] = cols_g.transpose(1, 0, 3, 2)
+            np.matmul(t1.reshape(g, og, n * span), t2.reshape(g, n * span, ckk), out=dw)
+            self._drop(t2)
+            self._drop(t1)
+            np.matmul(w2.transpose(0, 2, 1)[None], go, out=dcols)
         else:
             # Large problems: einsum's contraction order wins; the path is
             # memoised per shape so only the first call pays for planning.
-            dw = cached_einsum("ngol,ngcl->goc", go, cols_g, out=dw)
-            dcols = cached_einsum("goc,ngol->ngcl", w2, go, out=dcols)
+            cached_einsum("ngol,ngcl->goc", go, cols_g, out=dw)
+            cached_einsum("goc,ngol->ngcl", w2, go, out=dcols)
         self.weight.grad += dw.reshape(self.weight.data.shape)
-        if buffered:
-            self._drop(dw)
-            db = None
-            if self.bias is not None:
-                db = self._scratch((self.out_channels,), np.float64)
-                np.sum(grad_out, axis=(0, 2, 3), out=db)
-                self.bias.grad += db
-                self._drop(db)
-        elif self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=(0, 2, 3))
+        self._drop(dw)
+        if self.bias is not None:
+            db = self._scratch((self.out_channels,), grad_out.dtype)
+            np.sum(grad_out, axis=(0, 2, 3), out=db)
+            self.bias.grad += db
+            self._drop(db)
         self._cache = None
         if self._is_pointwise():
             # Adjoint of the strided subsampling: no col2im needed.
@@ -432,40 +392,29 @@ class Conv2D(Module):
                     np.copyto(out, dxv)
                     return out
                 return dxv
-            if buffered:
-                dx = out if out is not None else self._buf("dx", x_shape, np.float64)
-                dx[...] = 0.0
-            else:
-                dx = np.zeros(x_shape, dtype=dcols.dtype)
+            dx = out if out is not None else self._buf("dx", x_shape, np.float64)
+            dx[...] = 0.0
             dx[:, :, ::s, ::s] = dcols.reshape(n, self.in_channels, oh, ow)
             return dx
         dcols = dcols.reshape(n, self.in_channels * k * k, span)
-        if buffered:
-            if p > 0 and s < k:
-                # Overlapping windows: scatter-add the clipped slices
-                # straight into the contiguous dx slot — no padded canvas,
-                # no interior-copy afterwards (values bitwise unchanged).
-                dx = out if out is not None else self._buf("dx", x_shape, np.float64)
-                return col2im_clipped(dcols, x_shape, k, k, s, p, out=dx)
-            pad_buf = self._buf(
-                "dx_pad", (n, self.in_channels, x_shape[2] + 2 * p, x_shape[3] + 2 * p),
-                np.float64,
-            )
-            dxv = col2im(dcols, x_shape, k, k, s, p, out=pad_buf)
-            if p > 0:
-                # Launder the padded interior view into a contiguous slot so
-                # downstream reshapes stay allocation-free (values unchanged).
-                dx = out if out is not None else self._buf("dx", x_shape, np.float64)
-                np.copyto(dx, dxv)
-                return dx
-            if out is not None:
-                np.copyto(out, dxv)
-                return out
-            return dxv
-        if self.fast_paths:
-            pad_buf = self._workspace.get(
-                "dx_pad", (n, self.in_channels, x_shape[2] + 2 * p, x_shape[3] + 2 * p),
-                np.float64,
-            )
-            return col2im(dcols, x_shape, k, k, s, p, out=pad_buf)
-        return col2im(dcols, x_shape, k, k, s, p)
+        if p > 0 and s < k:
+            # Overlapping windows: scatter-add the clipped slices straight
+            # into the contiguous dx buffer — no padded canvas, no interior
+            # copy afterwards (values bitwise unchanged).
+            dx = out if out is not None else self._buf("dx", x_shape, np.float64)
+            return col2im_clipped(dcols, x_shape, k, k, s, p, out=dx)
+        pad_buf = self._buf(
+            "dx_pad", (n, self.in_channels, x_shape[2] + 2 * p, x_shape[3] + 2 * p),
+            np.float64,
+        )
+        dxv = col2im(dcols, x_shape, k, k, s, p, out=pad_buf)
+        if p > 0:
+            # Launder the padded interior view into a contiguous buffer so
+            # downstream reshapes stay allocation-free (values unchanged).
+            dx = out if out is not None else self._buf("dx", x_shape, np.float64)
+            np.copyto(dx, dxv)
+            return dx
+        if out is not None:
+            np.copyto(out, dxv)
+            return out
+        return dxv

@@ -46,12 +46,7 @@ class Dense(Module):
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._x = x
-        if self._memory is None and out is None:
-            out = x @ self.weight.data
-            if self.bias is not None:
-                out += self.bias.data
-            return out
-        y = out if out is not None else self._buf("y", (x.shape[0], self.out_features), x.dtype)
+        y = out if out is not None else self._buf("y", (x.shape[0], self.out_features), np.float64)
         np.matmul(x, self.weight.data, out=y)
         if self.bias is not None:
             y += self.bias.data
@@ -60,23 +55,16 @@ class Dense(Module):
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        if self._memory is None and out is None:
-            self.weight.grad += self._x.T @ grad_out
-            if self.bias is not None:
-                self.bias.grad += grad_out.sum(axis=0)
-            dx = grad_out @ self.weight.data.T
-            self._x = None
-            return dx
         dw = self._scratch((self.in_features, self.out_features), np.float64)
         np.matmul(self._x.T, grad_out, out=dw)
         self.weight.grad += dw
         self._drop(dw)
         if self.bias is not None:
-            db = self._scratch((self.out_features,), np.float64)
+            db = self._scratch((self.out_features,), grad_out.dtype)
             np.sum(grad_out, axis=0, out=db)
             self.bias.grad += db
             self._drop(db)
-        dx = out if out is not None else self._buf("dx", self._x.shape, grad_out.dtype)
+        dx = out if out is not None else self._buf("dx", self._x.shape, np.float64)
         np.matmul(grad_out, self.weight.data.T, out=dx)
         self._x = None
         return dx

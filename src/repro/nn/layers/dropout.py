@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Workspace
 from .base import Module, Shape
 
 __all__ = ["Dropout"]
@@ -19,13 +18,13 @@ class Dropout(Module):
     the same masks for the same global batch).  Call :meth:`reseed` to align
     replicas.
 
-    The mask is drawn into a persistent per-layer buffer
-    (``Generator.random(out=...)`` consumes the identical stream as
-    ``rng.random(shape)``), so steady-state steps never reallocate it; with a
-    bound memory context the output lives in an arena slot too.
+    The mask is drawn into a layer buffer with ``Generator.random(out=...)``,
+    which consumes the identical stream as ``rng.random(shape)``; with a
+    bound memory context that buffer and the output are persistent arena
+    slots, so steady-state steps never reallocate them.
     """
 
-    _fusion_source = True  # buffered forward writes ``out`` via plain ufuncs
+    _fusion_source = True  # forward writes ``out`` via plain ufuncs
 
     def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
         super().__init__()
@@ -34,7 +33,6 @@ class Dropout(Module):
         self.p = float(p)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._mask: np.ndarray | None = None
-        self._ws = Workspace()
 
     def reseed(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
@@ -53,19 +51,12 @@ class Dropout(Module):
                 return out
             return x
         keep = 1.0 - self.p
-        buffered = self._memory is not None or out is not None
-        if buffered:
-            mask = self._buf("mask", x.shape, np.float64)
-            sel = self._buf("sel", x.shape, np.bool_)
-        else:
-            mask = self._ws.get("mask", x.shape, np.float64)
-            sel = self._ws.get("sel", x.shape, np.bool_)
+        mask = self._buf("mask", x.shape, np.float64)
+        sel = self._buf("sel", x.shape, np.bool_)
         self.rng.random(out=mask)
         np.less(mask, keep, out=sel)
         np.divide(sel, keep, out=mask)
         self._mask = mask
-        if not buffered:
-            return x * mask
         y = out if out is not None else self._buf("y", x.shape, np.float64)
         np.multiply(x, mask, out=y)
         return y
@@ -78,8 +69,6 @@ class Dropout(Module):
             return grad_out
         mask = self._mask
         self._mask = None
-        if self._memory is None and out is None:
-            return grad_out * mask
         dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, mask, out=dx)
         return dx

@@ -29,7 +29,7 @@ class BatchNorm(Module):
     scaling for them (dispatch is by parameter name, see ``repro.core.lars``).
     """
 
-    _fusion_source = True  # buffered forward writes ``out`` via plain ufuncs
+    _fusion_source = True  # forward writes ``out`` via plain ufuncs
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.9):
         super().__init__()
@@ -73,9 +73,6 @@ class BatchNorm(Module):
         inv_e = self._expand(inv_std, nd)
         g_e = self._expand(self.gamma.data, nd)
         b_e = self._expand(self.beta.data, nd)
-        if self._memory is None and out is None:
-            xhat = (x - mean_e) * inv_e
-            return g_e * xhat + b_e, xhat
         xhat = self._buf("xhat", x.shape, np.float64)
         np.subtract(x, mean_e, out=xhat)
         xhat *= inv_e
@@ -107,22 +104,9 @@ class BatchNorm(Module):
         axes = self._reduce_axes(grad_out.ndim)
         nd = grad_out.ndim
         m = float(np.prod([grad_out.shape[a] for a in axes]))
-        if self._memory is None and out is None:
-            self.gamma.grad += (grad_out * xhat).sum(axis=axes)
-            self.beta.grad += grad_out.sum(axis=axes)
-            g = self._expand(self.gamma.data, nd)
-            dxhat = grad_out * g
-            # Standard BN backward: dx = (1/m) * inv_std * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
-            sum_dxhat = self._expand(dxhat.sum(axis=axes), nd)
-            sum_dxhat_xhat = self._expand((dxhat * xhat).sum(axis=axes), nd)
-            dx = (self._expand(inv_std, nd) / m) * (
-                m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat
-            )
-            self._cache = None
-            return dx
-        # Same expression tree evaluated into reusable buffers; every binary op
-        # keeps the eager operand order (or swaps a commutative multiply, which
-        # is bitwise-neutral), so the result is identical.
+        # Standard BN backward,
+        #   dx = (inv_std / m) * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
+        # evaluated into reusable buffers one binary op at a time.
         t = self._scratch(grad_out.shape, np.float64)
         np.multiply(grad_out, xhat, out=t)
         self.gamma.grad += t.sum(axis=axes)
@@ -210,34 +194,10 @@ class SyncBatchNorm(BatchNorm):
         xhat, inv_std, count = self._cache
         axes = self._reduce_axes(grad_out.ndim)
         nd = grad_out.ndim
-        if (self._memory is None and out is None) or grad_out.size == 0:
-            g = self._expand(self.gamma.data, nd)
-            dxhat = grad_out * g
-            zeros = np.zeros(self.num_features)
-            # gamma/beta gradients stay LOCAL — the cluster's ordinary gradient
-            # allreduce sums them across ranks like every other parameter, which
-            # is exactly the global sum the serial run computes
-            self.gamma.grad += (grad_out * xhat).sum(axis=axes) if grad_out.size else zeros
-            self.beta.grad += grad_out.sum(axis=axes) if grad_out.size else zeros
-            # ...but dx needs the *global* reduction terms of the BN backward
-            local = np.concatenate(
-                [
-                    dxhat.sum(axis=axes) if dxhat.size else zeros,
-                    (dxhat * xhat).sum(axis=axes) if dxhat.size else zeros,
-                ]
-            )
-            total = self._allreduce(local)
-            n = self.num_features
-            sum_dxhat = self._expand(total[:n], nd)
-            sum_dxhat_xhat = self._expand(total[n:], nd)
-            dx = (self._expand(inv_std, nd) / count) * (
-                count * dxhat - sum_dxhat - xhat * sum_dxhat_xhat
-            )
-            self._cache = None
-            if out is not None:  # empty shard with a bound slot: honour out=
-                np.copyto(out, dx)
-                return out
-            return dx
+        # gamma/beta gradients stay LOCAL — the cluster's ordinary gradient
+        # allreduce sums them across ranks like every other parameter, which
+        # is exactly the global sum the serial run computes.  Sums over an
+        # empty shard are zeros, so such a rank still joins the allreduce.
         t = self._scratch(grad_out.shape, np.float64)
         np.multiply(grad_out, xhat, out=t)
         self.gamma.grad += t.sum(axis=axes)
@@ -246,6 +206,7 @@ class SyncBatchNorm(BatchNorm):
         dxh = self._scratch(grad_out.shape, np.float64)
         np.multiply(grad_out, g, out=dxh)
         np.multiply(dxh, xhat, out=t)
+        # ...but dx needs the *global* reduction terms of the BN backward
         local = np.concatenate([dxh.sum(axis=axes), t.sum(axis=axes)])
         total = self._allreduce(local)
         n = self.num_features
@@ -272,7 +233,7 @@ class LocalResponseNorm(Module):
     Defaults are Caffe's AlexNet values.
     """
 
-    _fusion_source = True  # buffered forward writes ``out`` via plain ufuncs
+    _fusion_source = True  # forward writes ``out`` via plain ufuncs
 
     def __init__(self, size: int = 5, alpha: float = 1e-4, beta: float = 0.75, k: float = 1.0):
         super().__init__()
@@ -300,20 +261,10 @@ class LocalResponseNorm(Module):
             cached = self._hi_lo
         return cached[1], cached[2]
 
-    def _window_sum(self, sq: np.ndarray) -> np.ndarray:
-        """Sliding-window sum of ``sq`` over the channel axis (axis=1)."""
-        n, c = sq.shape[0], sq.shape[1]
-        half = self.size // 2
-        # prefix sums over channels, padded with a leading zero
-        csum = np.cumsum(sq, axis=1)
-        zeros = np.zeros_like(csum[:, :1])
-        csum = np.concatenate([zeros, csum], axis=1)  # (n, c+1, ...)
-        hi = np.minimum(np.arange(c) + half + 1, c)
-        lo = np.maximum(np.arange(c) - half, 0)
-        return csum[:, hi] - csum[:, lo]
-
-    def _window_sum_into(self, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Buffered :meth:`_window_sum`: same prefix-sum/gather/subtract ops."""
+    def _window_sum(self, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Sliding-window sum of ``sq`` over the channel axis (axis=1), into
+        ``out``: channel prefix sums (led by a zero) gathered at the window
+        bounds and subtracted."""
         n, c = sq.shape[0], sq.shape[1]
         csum = self._scratch((n, c + 1, *sq.shape[2:]), np.float64)
         csum[:, :1] = 0.0
@@ -330,17 +281,10 @@ class LocalResponseNorm(Module):
         return out
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self._memory is None and out is None:
-            sq = x * x
-            ssum = self._window_sum(sq)
-            denom = self.k + (self.alpha / self.size) * ssum
-            out = x * denom ** (-self.beta)
-            self._cache = (x, denom)
-            return out
         sq = self._scratch(x.shape, np.float64)
         np.multiply(x, x, out=sq)
         ssum = self._scratch(x.shape, np.float64)
-        self._window_sum_into(sq, ssum)
+        self._window_sum(sq, ssum)
         self._drop(sq)
         denom = self._buf("denom", x.shape, np.float64)
         np.multiply(ssum, self.alpha / self.size, out=denom)
@@ -363,13 +307,6 @@ class LocalResponseNorm(Module):
         #        - 2 beta (alpha/n) x_c * sum_{j: c in win(j)} g_j x_j d_j^{-beta-1}
         # and "c in window(j)" is symmetric to "j in window(c)" for a centred
         # window, so the inner sum is again a sliding-window sum.
-        if self._memory is None and out is None:
-            dpow = denom ** (-self.beta)
-            t = grad_out * x * dpow / denom  # g_j x_j d_j^{-beta-1}
-            tsum = self._window_sum(t)
-            dx = grad_out * dpow - 2.0 * self.beta * (self.alpha / self.size) * x * tsum
-            self._cache = None
-            return dx
         dpow = self._scratch(grad_out.shape, np.float64)
         np.power(denom, -self.beta, out=dpow)
         t = self._scratch(grad_out.shape, np.float64)
@@ -377,13 +314,13 @@ class LocalResponseNorm(Module):
         t *= dpow
         t /= denom
         tsum = self._scratch(grad_out.shape, np.float64)
-        self._window_sum_into(t, tsum)
+        self._window_sum(t, tsum)
         self._drop(t)
         dx = out if out is not None else self._buf("dx", grad_out.shape, np.float64)
         np.multiply(grad_out, dpow, out=dx)
         self._drop(dpow)
         t2 = self._scratch(grad_out.shape, np.float64)
-        # eager folds left: ((scalar * x) * tsum), so build the same tree
+        # fold left: ((scalar * x) * tsum)
         np.multiply(x, 2.0 * self.beta * (self.alpha / self.size), out=t2)
         t2 *= tsum
         dx -= t2

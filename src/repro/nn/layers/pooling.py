@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Module, Shape
-from .conv import col2im_clipped, conv_output_hw, im2col
+from .conv import col2im, col2im_clipped, conv_output_hw, im2col
 
 __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
@@ -33,24 +33,12 @@ class MaxPool2D(Module):
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        if self._memory is None and out is None:
-            if p > 0:
-                # pad with -inf so padded positions never win the max
-                x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf)
-            hp, wp = x.shape[2], x.shape[3]
-            # Reuse im2col per channel: treat channels as batch for the unfold.
-            cols, (oh, ow) = im2col(x.reshape(n * c, 1, hp, wp), k, k, s, 0)
-            cols = cols.reshape(n, c, k * k, oh * ow)
-            argmax = cols.argmax(axis=2)
-            out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-            self._cache = ((n, c, h, w), argmax, (oh, ow))
-            return out.reshape(n, c, oh, ow)
         hp, wp = h + 2 * p, w + 2 * p
         if p > 0:
             xp = self._buf("xpad", (n, c, hp, wp), x.dtype)
             if self._xpad_primed is not xp:
-                # -inf border written once; the slot is exclusive to this
-                # layer, so it survives untouched between steps
+                # -inf border written only into a new buffer; a bound slot
+                # is exclusive to this layer, so it survives between steps
                 xp[...] = -np.inf
                 self._xpad_primed = xp
             xp[:, :, p:-p, p:-p] = x
@@ -74,19 +62,7 @@ class MaxPool2D(Module):
             raise RuntimeError("backward called before forward")
         (n, c, h, w), argmax, (oh, ow) = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
-        from .conv import col2im
-
         hp, wp = h + 2 * p, w + 2 * p
-        if self._memory is None and out is None:
-            dcols = np.zeros((n, c, k * k, oh * ow))
-            go = grad_out.reshape(n, c, 1, oh * ow)
-            np.put_along_axis(dcols, argmax[:, :, None, :], go, axis=2)
-            dx = col2im(dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, hp, wp), k, k, s, 0)
-            dx = dx.reshape(n, c, hp, wp)
-            if p > 0:
-                dx = dx[:, :, p:-p, p:-p]
-            self._cache = None
-            return dx
         dcols = self._scratch((n, c, k * k, oh * ow), np.float64)
         dcols[...] = 0.0
         go = grad_out.reshape(n, c, 1, oh * ow)
@@ -141,12 +117,6 @@ class AvgPool2D(Module):
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        if self._memory is None and out is None:
-            cols, (oh, ow) = im2col(x.reshape(n * c, 1, h, w), k, k, s, p)
-            out = cols.reshape(n, c, k * k, oh * ow).mean(axis=2)
-            self._x_shape = x.shape
-            self._ohw = (oh, ow)
-            return out.reshape(n, c, oh, ow)
         hp, wp = h + 2 * p, w + 2 * p
         if p > 0:
             xp = self._buf("xpad", (n, c, hp, wp), x.dtype)
@@ -172,14 +142,6 @@ class AvgPool2D(Module):
         n, c, h, w = self._x_shape
         oh, ow = self._ohw
         k, s, p = self.kernel_size, self.stride, self.padding
-        from .conv import col2im
-
-        if self._memory is None and out is None:
-            go = grad_out.reshape(n * c, 1, oh * ow) / (k * k)
-            dcols = np.broadcast_to(go, (n * c, k * k, oh * ow))
-            dx = col2im(np.ascontiguousarray(dcols), (n * c, 1, h, w), k, k, s, p)
-            self._x_shape = None
-            return dx.reshape(n, c, h, w)
         go = self._scratch((n * c, 1, oh * ow), np.float64)
         np.divide(grad_out.reshape(n * c, 1, oh * ow), k * k, out=go)
         dcols = self._scratch((n * c, k * k, oh * ow), np.float64)
@@ -224,8 +186,6 @@ class GlobalAvgPool2D(Module):
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._x_shape = x.shape
-        if self._memory is None and out is None:
-            return x.mean(axis=(2, 3))
         n, c = x.shape[0], x.shape[1]
         y = out if out is not None else self._buf("y", (n, c), x.dtype)
         x.mean(axis=(2, 3), out=y)
@@ -235,10 +195,6 @@ class GlobalAvgPool2D(Module):
         if self._x_shape is None:
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._x_shape
-        if self._memory is None and out is None:
-            dx = np.broadcast_to(grad_out[:, :, None, None], (n, c, h, w)) / (h * w)
-            self._x_shape = None
-            return np.ascontiguousarray(dx)
         dx = out if out is not None else self._buf("dx", (n, c, h, w), grad_out.dtype)
         dx[...] = grad_out[:, :, None, None]
         dx /= h * w

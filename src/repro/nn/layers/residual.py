@@ -22,7 +22,7 @@ class Residual(Module):
     shape-preserving (checked at ``output_shape`` time).
     """
 
-    _fusion_source = True  # buffered forward writes ``out`` via one ufunc
+    _fusion_source = True  # forward writes ``out`` via one ufunc
 
     def __init__(self, branch: Module, shortcut: Module | None = None):
         super().__init__()
@@ -60,10 +60,6 @@ class Residual(Module):
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         main = self.branch.forward(x)
         short = x if self.shortcut is None else self.shortcut.forward(x)
-        if self._memory is None and out is None:
-            pre = main + short
-            self._relu_mask = pre > 0
-            return np.where(self._relu_mask, pre, 0.0)
         pre = self._buf("pre", main.shape, np.float64)
         np.add(main, short, out=pre)
         mask = self._buf("mask", main.shape, np.bool_)
@@ -76,15 +72,6 @@ class Residual(Module):
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._relu_mask is None:
             raise RuntimeError("backward called before forward")
-        if self._memory is None and out is None:
-            dpre = np.where(self._relu_mask, grad_out, 0.0)
-            self._relu_mask = None
-            dx = self.branch.backward(dpre)
-            if self.shortcut is None:
-                dx = dx + dpre
-            else:
-                dx = dx + self.shortcut.backward(dpre)
-            return dx
         mask = self._relu_mask
         dpre = self._buf("dpre", grad_out.shape, np.float64)
         # mask-multiply + ``+= 0.0`` == np.where(mask, grad, 0.0) bitwise for

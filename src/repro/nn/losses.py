@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .layers.base import Module
+
 __all__ = ["SoftmaxCrossEntropy", "softmax", "log_softmax"]
 
 
@@ -35,6 +37,12 @@ class SoftmaxCrossEntropy:
     #: bound memory context (mirrors ``Module._memory``; see repro.nn.memory)
     _memory = None
 
+    # The layers' buffer helpers: arena slots/scratch when a context is
+    # bound, fresh arrays otherwise.
+    _buf = Module._buf
+    _scratch = Module._scratch
+    _drop = Module._drop
+
     def __init__(self, label_smoothing: float = 0.0):
         if not 0.0 <= label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
@@ -42,7 +50,7 @@ class SoftmaxCrossEntropy:
         self._cache: tuple | None = None
 
     def bind_memory(self, memory) -> "SoftmaxCrossEntropy":
-        """Bind a memory context: logits-sized buffers become arena slots."""
+        """Bind a memory context: logits-sized buffers come from its arena."""
         self._memory = memory
         return self
 
@@ -63,19 +71,15 @@ class SoftmaxCrossEntropy:
             return 0.0
         if targets.min() < 0 or targets.max() >= k:
             raise ValueError("target class out of range")
-        mem = self._memory
-        if mem is None:
-            logp = log_softmax(logits)
-        else:
-            # log_softmax with the identical op sequence, into reusable buffers
-            logp = mem.slot(self, "logp", (n, k), np.float64)
-            np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
-            t = mem.scratch((n, k), np.float64)
-            np.exp(logp, out=t)
-            s = t.sum(axis=1, keepdims=True)
-            np.log(s, out=s)
-            logp -= s
-            mem.release(t)
+        # log_softmax's op sequence, into the layer's buffers
+        logp = self._buf("logp", (n, k), np.float64)
+        np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
+        t = self._scratch((n, k), np.float64)
+        np.exp(logp, out=t)
+        s = t.sum(axis=1, keepdims=True)
+        np.log(s, out=s)
+        logp -= s
+        self._drop(t)
         eps = self.label_smoothing
         nll = -logp[np.arange(n), targets]
         if eps > 0.0:
@@ -96,24 +100,16 @@ class SoftmaxCrossEntropy:
             self._cache = None
             return np.zeros((0, k))
         eps = self.label_smoothing
-        mem = self._memory
-        if mem is None:
-            probs = np.exp(logp)
-            target_dist = np.full((n, k), eps / k)
-            target_dist[np.arange(n), targets] += 1.0 - eps
-            grad = (probs - target_dist) / n
-            self._cache = None
-            return grad
-        probs = mem.scratch((n, k), np.float64)
+        probs = self._scratch((n, k), np.float64)
         np.exp(logp, out=probs)
-        target_dist = mem.scratch((n, k), np.float64)
+        target_dist = self._scratch((n, k), np.float64)
         target_dist[...] = eps / k
         target_dist[np.arange(n), targets] += 1.0 - eps
-        grad = mem.slot(self, "dlogits", (n, k), np.float64)
+        grad = self._buf("dlogits", (n, k), np.float64)
         np.subtract(probs, target_dist, out=grad)
         grad /= n
-        mem.release(target_dist)
-        mem.release(probs)
+        self._drop(target_dist)
+        self._drop(probs)
         self._cache = None
         return grad
 

@@ -21,16 +21,18 @@ whose size scales with the global batch.  This module removes that tax:
   recycle the same buckets).
 * :class:`MemoryPlan` — a static analyser.  It shape-infers the layer
   graph once (per-layer rules mirror the exact slot/scratch requests the
-  buffered code paths make), assigns each buffer a liveness interval in
+  layer code makes), assigns each buffer a liveness interval in
   forward/backward tick order, and replays the whole request stream
   through a dry-run arena.  Because prediction and measurement share the
   same bucket accounting, the predicted peak is the measured peak — the
   closed-form ``repro.perfmodel.memory`` predictor is pinned to it by
   test.
 
-The escape hatch is simply *not binding*: with no :class:`MemoryContext`
-attached, every layer runs its original allocating code path bit-for-bit
-unchanged (``static_memory=False``, the default everywhere).
+Binding picks the allocator, not the code: every layer has one code path
+whose ``Module._buf``/``_scratch`` requests this context serves from the
+arena, and with no :class:`MemoryContext` attached (``static_memory=False``,
+the default everywhere) the same requests get fresh ``np.empty`` arrays —
+same arithmetic, same bits.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ MIN_BUCKET_BYTES = 64
 #: cache-coloring stride and cycle length.  Power-of-two buckets come back
 #: from the allocator at addresses congruent modulo large powers of two, so
 #: without an offset every big buffer maps onto the same cache sets and
-#: multi-stream ufuncs thrash (heap-allocated eager temporaries get this
+#: multi-stream ufuncs thrash (heap-allocated fresh temporaries get this
 #: stagger for free).  Each fresh bucket is shifted by the next multiple of
 #: one page + one cache line, restoring the stagger.
 _COLOR_STRIDE_BYTES = 4096 + 64
@@ -335,9 +337,9 @@ def _prod(shape) -> int:
 # -- per-layer buffer rules ---------------------------------------------------
 #
 # Each rule mirrors, request for request and in source order, what the
-# layer's buffered code path asks of the MemoryContext.  tests pin the
-# mirror: the plan's dry-run peak must equal the live arena's measured
-# peak, so a rule that forgets a request fails the predictor test.
+# layer's code asks of the MemoryContext.  tests pin the mirror: the
+# plan's dry-run peak must equal the live arena's measured peak, so a rule
+# that forgets a request fails the predictor test.
 
 
 def _rule_relu(layer, shp, training):
@@ -705,7 +707,7 @@ class MemoryPlan:
             ``fused`` marks a producer whose output goes straight into a
             successor conv's padded-input slot (the live ``Sequential``
             fusion): its ``y`` slot request is elided, exactly as the
-            buffered code skips ``_buf("y", ...)`` when handed ``out=``.
+            layer code skips ``_buf("y", ...)`` when handed ``out=``.
             """
             if isinstance(mod, Sequential):
                 bwds = []

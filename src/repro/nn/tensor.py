@@ -1,10 +1,12 @@
 """Trainable parameters and gradient bookkeeping.
 
-The framework is deliberately eager and explicit: every layer owns
-:class:`Parameter` objects, ``forward`` caches what ``backward`` needs, and
-``backward`` accumulates gradients into ``Parameter.grad``.  There is no
-autograd tape — backprop is hand-derived per layer and verified by
-finite-difference checks in ``repro.nn.gradcheck``.
+The framework is deliberately explicit: every layer owns :class:`Parameter`
+objects, ``forward`` caches what ``backward`` needs, and ``backward``
+accumulates gradients into ``Parameter.grad``.  There is no autograd tape —
+backprop is hand-derived per layer and verified by finite-difference checks
+in ``repro.nn.gradcheck``.  Each layer has a single forward/backward code
+path; only where its activation and scratch buffers come from varies
+(fresh arrays, or arena slots once a ``repro.nn.MemoryContext`` is bound).
 
 Gradients accumulate (``+=``) rather than overwrite so a parameter that is
 shared between layers, or a batch that is processed in several micro-batch
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Parameter", "Workspace", "cached_einsum"]
+__all__ = ["Parameter", "cached_einsum"]
 
 # einsum recomputes its contraction path on every call; for the small
 # per-layer contractions of the proxy models that bookkeeping rivals the
@@ -38,38 +40,6 @@ def cached_einsum(equation: str, *operands: np.ndarray, out: np.ndarray | None =
         path = np.einsum_path(equation, *operands, optimize=True)[0]
         _EINSUM_PATHS[key] = path
     return np.einsum(equation, *operands, optimize=path, out=out)
-
-
-class Workspace:
-    """Reusable scratch buffers keyed by (tag, shape, dtype).
-
-    Hot-path kernels (``im2col`` columns, flattened gradient buckets) fill
-    the same-shaped temporary every iteration; allocating it fresh each time
-    pays page-fault and allocator cost proportional to the buffer size.  A
-    workspace hands back the *same* array on every request with a matching
-    key, so steady-state iterations allocate nothing.
-
-    Buffers are returned uninitialised (like ``np.empty``) and must be fully
-    overwritten by the caller.  Not thread-safe; simulated ranks each own
-    their model, and each model layer owns its workspace.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: dict[tuple, np.ndarray] = {}
-
-    def get(self, tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """Return a reusable uninitialised array of ``shape``/``dtype``."""
-        key = (tag, shape, np.dtype(dtype))
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = self._buffers[key] = np.empty(shape, dtype=dtype)
-        return buf
-
-    def clear(self) -> None:
-        """Drop every cached buffer (frees the memory)."""
-        self._buffers.clear()
 
 
 class Parameter:

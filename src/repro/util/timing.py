@@ -136,21 +136,23 @@ class LayerProfiler:
             fwd, bwd = layer.forward, layer.backward
             self._originals.append((layer, fwd, bwd))
 
-            def timed_fwd(x, _f=fwd, _l=label):
+            # ``out=`` passes through: containers hand it to a layer that
+            # computes into a caller's buffer (e.g. a fused padded input).
+            def timed_fwd(x, out=None, _f=fwd, _l=label):
                 tr = self.tracer
                 if tr is not None and tr.enabled:
                     with tr.span("layer.forward", layer=_l), self.forward_time[_l]:
-                        return _f(x)
+                        return _f(x, out=out)
                 with self.forward_time[_l]:
-                    return _f(x)
+                    return _f(x, out=out)
 
-            def timed_bwd(g, _b=bwd, _l=label):
+            def timed_bwd(g, out=None, _b=bwd, _l=label):
                 tr = self.tracer
                 if tr is not None and tr.enabled:
                     with tr.span("layer.backward", layer=_l), self.backward_time[_l]:
-                        return _b(g)
+                        return _b(g, out=out)
                 with self.backward_time[_l]:
-                    return _b(g)
+                    return _b(g, out=out)
 
             layer.forward = timed_fwd
             layer.backward = timed_bwd

@@ -78,7 +78,7 @@ class TestBatchLoader:
 
     def test_covers_every_example_once(self):
         x, y = self.data()
-        loader = BatchLoader(x, y, batch_size=32, seed=1, auto_advance=False)
+        loader = BatchLoader(x, y, batch_size=32, seed=1)
         seen = sum(len(yb) for _, yb in loader)
         assert seen == 100
 
@@ -89,7 +89,7 @@ class TestBatchLoader:
 
     def test_epochs_reshuffle(self):
         x, y = self.data()
-        loader = BatchLoader(x, y, batch_size=100, seed=1, auto_advance=False)
+        loader = BatchLoader(x, y, batch_size=100, seed=1)
         (b1,), (b2,) = (list(b) for b in loader.epochs(2))
         assert not np.array_equal(b1[0], b2[0])  # different epoch order
         assert loader.epoch == 2  # epochs() leaves the loader past the last
@@ -97,48 +97,23 @@ class TestBatchLoader:
     def test_same_epoch_is_deterministic(self):
         """Iterating without advancing replays the identical epoch."""
         x, y = self.data()
-        loader = BatchLoader(x, y, batch_size=32, seed=1, augment="heavy",
-                             auto_advance=False)
+        loader = BatchLoader(x, y, batch_size=32, seed=1, augment="heavy")
         first = [(xb.copy(), yb.copy()) for xb, yb in loader]
         second = list(loader)
         assert loader.epoch == 0
-        for (x1, y1), (x2, y2) in zip(first, second):
+        for (x1, y1), (x2, y2) in zip(first, second, strict=True):
             assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
     def test_set_epoch_matches_epochs_iterator(self):
         x, y = self.data()
-        a = BatchLoader(x, y, batch_size=32, seed=5, auto_advance=False)
-        b = BatchLoader(x, y, batch_size=32, seed=5, auto_advance=False)
+        a = BatchLoader(x, y, batch_size=32, seed=5)
+        b = BatchLoader(x, y, batch_size=32, seed=5)
         via_epochs = [yb for batches in a.epochs(3) for _, yb in batches]
         via_set = []
         for epoch in range(3):
             b.set_epoch(epoch)
             via_set.extend(yb for _, yb in b)
         assert all(np.array_equal(p, q) for p, q in zip(via_epochs, via_set))
-
-    def test_implicit_advance_warns_once(self):
-        import warnings
-
-        x, y = self.data()
-        loader = BatchLoader(x, y, batch_size=100, seed=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            list(loader)
-            list(loader)
-        assert loader.epoch == 2  # legacy behaviour preserved by the shim
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_auto_advance_true_is_silent(self):
-        import warnings
-
-        x, y = self.data()
-        loader = BatchLoader(x, y, batch_size=100, seed=1, auto_advance=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            list(loader)
-        assert loader.epoch == 1
-        assert not [w for w in caught if w.category is DeprecationWarning]
 
     def test_set_epoch_validates(self):
         x, y = self.data()
@@ -148,15 +123,13 @@ class TestBatchLoader:
 
     def test_no_shuffle_is_sequential(self):
         x, y = self.data()
-        loader = BatchLoader(x, y, batch_size=40, shuffle=False,
-                             auto_advance=False)
+        loader = BatchLoader(x, y, batch_size=40, shuffle=False)
         xb, yb = next(iter(loader))
         assert np.array_equal(xb, x[:40])
 
     def test_sharding_partitions_batch(self):
         x, y = self.data(64)
-        loaders = [BatchLoader(x, y, 32, world=4, rank=r, seed=2,
-                               auto_advance=False) for r in range(4)]
+        loaders = [BatchLoader(x, y, 32, world=4, rank=r, seed=2) for r in range(4)]
         batches = [list(ldr) for ldr in loaders]
         # each rank sees 8 examples per global batch
         assert all(len(b[0][1]) == 8 for b in batches)
@@ -168,15 +141,14 @@ class TestBatchLoader:
         y = np.arange(40)
         seen = []
         for r in range(4):
-            for _, yb in BatchLoader(x, y, 20, world=4, rank=r, seed=3,
-                                     auto_advance=False):
+            for _, yb in BatchLoader(x, y, 20, world=4, rank=r, seed=3):
                 seen.extend(yb.tolist())
         assert sorted(seen) == list(range(40))
 
     def test_augmentation_applied(self):
         x, y = self.data()
-        plain = BatchLoader(x, y, 100, augment="none", seed=4, auto_advance=False)
-        augd = BatchLoader(x, y, 100, augment="heavy", seed=4, auto_advance=False)
+        plain = BatchLoader(x, y, 100, augment="none", seed=4)
+        augd = BatchLoader(x, y, 100, augment="heavy", seed=4)
         (xp, _), = list(plain)
         (xa, _), = list(augd)
         assert not np.array_equal(xp, xa)
@@ -222,8 +194,8 @@ class TestReusedBatchBuffers:
 
     def test_values_identical_to_fancy_indexing(self):
         x, y = self.data()
-        plain = BatchLoader(x, y, 32, seed=3, auto_advance=False)
-        reused = BatchLoader(x, y, 32, seed=3, auto_advance=False,
+        plain = BatchLoader(x, y, 32, seed=3)
+        reused = BatchLoader(x, y, 32, seed=3,
                              reuse_buffers=True)
         for (xa, ya), (xb, yb) in zip(plain, reused, strict=True):
             np.testing.assert_array_equal(xa, xb)
@@ -231,18 +203,18 @@ class TestReusedBatchBuffers:
 
     def test_batches_share_one_buffer(self):
         x, y = self.data()
-        loader = BatchLoader(x, y, 25, seed=3, auto_advance=False,
+        loader = BatchLoader(x, y, 25, seed=3,
                              reuse_buffers=True)
         bases = {xb.base is None and id(xb) or id(xb.base) for xb, _ in loader}
         assert len(bases) == 1  # every batch is a view of the same buffer
 
     def test_short_final_batch_is_prefix_view(self):
         x, y = self.data(70)  # 32 + 32 + 6
-        loader = BatchLoader(x, y, 32, seed=1, auto_advance=False,
+        loader = BatchLoader(x, y, 32, seed=1,
                              reuse_buffers=True)
         sizes = [len(yb) for _, yb in loader]
         assert sizes == [32, 32, 6]
-        plain = BatchLoader(x, y, 32, seed=1, auto_advance=False)
+        plain = BatchLoader(x, y, 32, seed=1)
         for (xa, ya), (xb, yb) in zip(plain, loader, strict=True):
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
@@ -250,10 +222,8 @@ class TestReusedBatchBuffers:
     def test_augmented_epochs_match(self):
         # augmentation draws from the same rng stream either way
         x, y = self.data()
-        plain = BatchLoader(x, y, 32, seed=5, augment="heavy",
-                            auto_advance=False)
-        reused = BatchLoader(x, y, 32, seed=5, augment="heavy",
-                             auto_advance=False, reuse_buffers=True)
+        plain = BatchLoader(x, y, 32, seed=5, augment="heavy")
+        reused = BatchLoader(x, y, 32, seed=5, augment="heavy", reuse_buffers=True)
         for ea, eb in zip(plain.epochs(2), reused.epochs(2), strict=True):
             for (xa, ya), (xb, yb) in zip(ea, eb, strict=True):
                 np.testing.assert_array_equal(xa, xb)

@@ -1,12 +1,12 @@
 """Bitwise parity of the optimized conv kernels against the general route.
 
-The PR-2 optimizations (workspace-reuse im2col, non-overlapping col2im
-branch, 1×1 im2col-free route) must change *nothing* numerically: every
-test here asserts exact array equality, not allclose.  The reference for
-``im2col``/``col2im`` is a deliberately dumb loop implementation local to
-this file; ``Conv2D`` fast paths are compared against the same layer with
-``fast_paths=False``, which shares the GEMM primitives but takes the
-general im2col route.
+The conv optimizations (``out=`` im2col, non-overlapping col2im branch,
+1×1 im2col-free route, clipped col2im scatter) must change *nothing*
+numerically: every test here asserts exact array equality, not allclose.
+The reference for ``im2col``/``col2im`` is a deliberately dumb loop
+implementation local to this file; ``Conv2D`` is compared against its
+eager twin from ``eager_layers.py``, which shares the GEMM primitives but
+takes the general im2col route for every kernel.
 """
 
 import numpy as np
@@ -14,6 +14,8 @@ import pytest
 
 from repro.nn import Conv2D
 from repro.nn.layers.conv import col2im, conv_output_hw, im2col, im2col_view
+
+from .eager_layers import eager_twin
 
 
 def reference_im2col(x, kh, kw, stride, pad):
@@ -138,13 +140,10 @@ CONV_CASES = [
 
 
 def _pair(in_c, out_c, kernel, stride, pad, groups):
-    """The same layer twice: fast paths on and off, identical weights."""
+    """The layer and its general-route eager twin, identical weights."""
     fast = Conv2D(in_c, out_c, kernel, stride=stride, padding=pad,
-                  groups=groups, rng=np.random.default_rng(7), fast_paths=True)
-    slow = Conv2D(in_c, out_c, kernel, stride=stride, padding=pad,
-                  groups=groups, rng=np.random.default_rng(7), fast_paths=False)
-    np.testing.assert_array_equal(fast.weight.data, slow.weight.data)
-    return fast, slow
+                  groups=groups, rng=np.random.default_rng(7))
+    return fast, eager_twin(fast)
 
 
 @pytest.mark.parametrize("in_c,out_c,kernel,stride,pad,groups", CONV_CASES)
@@ -169,7 +168,8 @@ def test_conv2d_fast_paths_bitwise_identical(
 
 
 def test_conv2d_fast_paths_stable_across_iterations():
-    # Workspace reuse must not leak state between successive batches.
+    # Buffer reuse (the padded-input border) must not leak state between
+    # successive batches.
     fast, slow = _pair(3, 8, 3, 1, 1, 1)
     rng = np.random.default_rng(13)
     for _ in range(3):
@@ -181,7 +181,7 @@ def test_conv2d_fast_paths_stable_across_iterations():
 
 
 def test_conv2d_batch_size_change_reallocates_workspace():
-    # Different batch sizes hit different workspace buffers; both must work.
+    # Different batch sizes need differently shaped buffers; both must work.
     fast, slow = _pair(3, 8, 3, 1, 1, 1)
     rng = np.random.default_rng(17)
     for n in (4, 2, 4):
@@ -236,8 +236,8 @@ def test_conv2d_backward_out_buffer(in_c, out_c, kernel, stride, pad, groups):
 
 
 def test_conv2d_backward_workspace_reuse_is_stable():
-    # Successive buffered backwards reuse the same scratch workspace; results
-    # must not drift or pick up stale state from the previous iteration.
+    # Successive backwards into the same out= buffer must not drift or pick
+    # up stale state from the previous iteration.
     a, b = _pair(3, 8, 3, 1, 1, 1)
     rng = np.random.default_rng(29)
     buf = np.empty((2, 3, 8, 8))

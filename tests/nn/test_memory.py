@@ -8,6 +8,8 @@ mis-tracked buffer would turn "zero steady-state allocations" into a lie.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.memory import (
     MIN_BUCKET_BYTES,
@@ -152,3 +154,70 @@ def test_memory_context_scratch_release_roundtrip():
     ctx.release(buf)
     assert ctx.arena.in_use_bytes == 0
     assert ctx.bytes_allocated == bucket_nbytes(32 * 8)
+
+
+def _root(arr):
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["acquire", "release", "double_release"]),
+        st.lists(st.integers(0, 12), min_size=1, max_size=3).map(tuple),
+        st.sampled_from([np.float64, np.bool_]),
+        st.integers(0, 1 << 16),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OPS)
+def test_arena_accounting_under_random_acquire_release(ops):
+    """A bookkeeping model of the arena, checked after every operation."""
+    arena = Arena()
+    live = []  # (handle, freelist key, bucket bytes); zero-size handles have key None
+    released = []  # handles whose buffer went back to the freelist
+    free = {}  # freelist key -> number of free buffers
+    max_in_use = 0
+    for kind, shape, dtype, pick in ops:
+        if kind == "acquire" or not live and kind == "release":
+            n = int(np.prod(shape))
+            key = bucket = None
+            if n:
+                bucket = bucket_nbytes(n * np.dtype(dtype).itemsize)
+                key = (np.dtype(dtype), bucket)
+            before = arena.bytes_allocated
+            arr = arena.acquire(shape, dtype)
+            assert arr.shape == shape and arr.dtype == dtype
+            if key is not None and free.get(key):
+                # a released buffer of this bucket is reused: no allocation
+                assert arena.bytes_allocated == before
+                free[key] -= 1
+            elif key is not None:
+                assert arena.bytes_allocated == before + bucket
+            else:
+                assert arena.bytes_allocated == before  # zero-size: not pooled
+            live.append((arr, key, bucket or 0))
+        elif kind == "release":
+            arr, key, _ = live.pop(pick % len(live))
+            arena.release(arr)
+            if key is not None:
+                free[key] = free.get(key, 0) + 1
+                released.append(arr)
+        else:
+            live_roots = {id(_root(a)) for a, key, _ in live if key is not None}
+            stale = [a for a in released if id(_root(a)) not in live_roots]
+            if stale:
+                state = arena.stats()
+                with pytest.raises(ValueError, match="double release"):
+                    arena.release(stale[pick % len(stale)])
+                assert arena.stats() == state
+        in_use = sum(bucket for _, _, bucket in live)
+        assert arena.in_use_bytes == in_use
+        max_in_use = max(max_in_use, in_use)
+        assert arena.peak_bytes == max_in_use
+        assert arena.pool_bytes == arena.bytes_allocated
+        assert arena.pool_bytes == in_use + sum(k[1] * c for k, c in free.items())

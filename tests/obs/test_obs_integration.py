@@ -141,7 +141,7 @@ def test_loader_batch_fetch_spans():
     x = rng.normal(size=(32, 4))
     y = rng.integers(0, 3, 32)
     obs.enable()
-    loader = BatchLoader(x, y, batch_size=8, auto_advance=False)
+    loader = BatchLoader(x, y, batch_size=8)
     batches = list(loader)
     fetches = obs.get_tracer().spans_named("data.batch_fetch")
     assert len(fetches) == len(batches) == 4

@@ -101,6 +101,34 @@ class TestLayerProfiler:
         # timers still accumulate alongside the spans
         assert all(t.count == 1 for t in prof.forward_time.values())
 
+    def test_static_memory_step_is_unchanged_by_profiling(self):
+        # Bound layers hand out=/fused-input targets to their neighbours;
+        # the timing wrappers must forward them, and change no bit.
+        from repro.nn import MemoryContext, SoftmaxCrossEntropy
+        from repro.nn.models import micro_resnet
+
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 3, 8, 8))
+        y = rng.integers(0, 10, size=4)
+
+        def step(profile):
+            model, loss = micro_resnet(width=4), SoftmaxCrossEntropy()
+            mem = MemoryContext()
+            model.bind_memory(mem)
+            loss.bind_memory(mem)
+            prof = LayerProfiler(model) if profile else None
+            logits = model.forward(x).copy()
+            loss.forward(logits, y)
+            model.backward(loss.backward())
+            return prof, logits, [p.grad.copy() for p in model.parameters()]
+
+        prof, logits, grads = step(profile=True)
+        _, ref_logits, ref_grads = step(profile=False)
+        assert all(t.count == 1 for t in prof.backward_time.values())
+        assert logits.tobytes() == ref_logits.tobytes()
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert g.tobytes() == ref.tobytes()
+
     def test_disabled_tracer_emits_no_spans(self):
         from repro.obs.trace import Tracer
 
