@@ -1,11 +1,11 @@
-"""Benchmarks for the static-memory subsystem: arena ops, planned steps.
+"""Benchmarks for the static-memory subsystem: replay, planning, steps.
 
 The planned-vs-eager train-step pairs are the headline numbers: both run
 the same layer code, the "eager" (unbound) step on fresh arrays and the
-planned one out of persistent arena slots, so the delta is pure
-allocator/page-fault cost.  ``plan.build`` is timed
-too because the planner runs at trainer construction (it must stay cheap
-enough to call per configuration).
+planned one out of the context's packed slab, so the delta is pure
+allocator/page-fault cost.  ``context.replay`` times the per-request cost
+of a replayed pass (the price every buffered layer call pays), and
+``plan.build`` the recorded pass ``MemoryPlan`` runs on a model copy.
 """
 
 from __future__ import annotations
@@ -16,24 +16,30 @@ from ..harness import register
 
 _BATCH = 32
 _IMAGE = 16
+_REQUESTS = 64
 
 
 @register(
-    "arena.acquire_release",
+    "context.replay",
     area="memory",
-    params={"shape": "32x64x16x16", "dtype": "float64"},
+    params={"requests": _REQUESTS, "shape": "32x64x16x16", "dtype": "float64"},
 )
-def _arena_cycle():
-    from repro.nn.memory import Arena
+def _context_replay():
+    from repro.nn.memory import MemoryContext
 
-    arena = Arena()
+    class Layer:
+        pass
+
+    layers = [Layer() for _ in range(_REQUESTS)]
     shape = (_BATCH, 64, _IMAGE, _IMAGE)
-    arena.release(arena.acquire(shape))  # warm the freelist
+    ctx = MemoryContext()
 
     def step():
-        buf = arena.acquire(shape)
-        arena.release(buf)
+        ctx.begin(shape, np.float64, True)
+        for layer in layers:
+            ctx.request(layer, "y", shape, np.float64)
 
+    step()  # the recording pass; the next pass packs it and replays
     return step
 
 

@@ -83,13 +83,16 @@ def _add_train_parser(sub) -> None:
                             "peer unresponsive (fault runs only)")
     mem = p.add_argument_group("static memory (see docs/architecture.md)")
     mem.add_argument("--static-memory", action="store_true",
-                     help="plan activation/gradient buffers once and run every "
-                          "step out of a persistent arena (bitwise-identical "
-                          "results, zero steady-state allocations)")
+                     help="record each step shape's buffer lifetimes once and "
+                          "run every later step out of one packed slab "
+                          "(bitwise-identical results, zero steady-state "
+                          "allocations)")
     mem.add_argument("--check-zero-alloc", action="store_true",
-                     help="after training, run two extra steps and fail unless "
-                          "the arena performed zero fresh allocations "
-                          "(implies --static-memory; serial runs only)")
+                     help="after training, run one extra epoch (short batch "
+                          "and evaluation included) and fail unless the slab "
+                          "did not grow and every step shape's slab bytes "
+                          "equal MemoryPlan's prediction (implies "
+                          "--static-memory; serial runs only)")
     obs = p.add_argument_group("telemetry (see docs/observability.md)")
     obs.add_argument("--trace", default=None, metavar="PATH",
                      help="capture spans and write Chrome trace-event JSON "
@@ -142,7 +145,7 @@ def cmd_train(args) -> int:
     static_memory = bool(args.static_memory or args.check_zero_alloc)
     if args.check_zero_alloc and args.world > 1:
         raise SystemExit("error: --check-zero-alloc requires a serial run "
-                         "(--world 1); per-rank arenas are not inspectable "
+                         "(--world 1); per-rank slabs are not inspectable "
                          "after a cluster run")
 
     ds = proxy_dataset(args.dataset)
@@ -231,28 +234,8 @@ def cmd_train(args) -> int:
                                   f"  epoch {r.epoch:3d}  loss {r.train_loss:7.4f}  "
                                   f"test {r.test_accuracy:.4f}"))
         console.info(f"peak test accuracy: {res.peak_test_accuracy:.4f}")
-        if args.check_zero_alloc:
-            from .nn.memory import MemoryPlan
-
-            xb, yb = ds.x_train[:batch_size], ds.y_train[:batch_size]
-            with np.errstate(all="ignore"):
-                trainer.train_step(xb, yb)  # settle any eval-shape churn
-                before = trainer.arena_stats()["bytes_allocated"]
-                trainer.train_step(xb, yb)
-                trainer.train_step(xb, yb)
-                after = trainer.arena_stats()["bytes_allocated"]
-            stats = trainer.arena_stats()
-            plan = MemoryPlan.build(model, ds.input_shape, batch_size,
-                                    loss=trainer.loss)
-            console.info(
-                f"arena: peak {stats['peak_bytes']:,} bytes over the run "
-                f"(train-step plan: {plan.peak_bytes:,}; evaluation batches "
-                f"share the arena), "
-                f"{after - before:,} bytes allocated over 2 steady-state steps")
-            if after != before:
-                console.info("zero-alloc check FAILED")
-                return 1
-            console.info("zero-alloc check passed")
+        if args.check_zero_alloc and not _check_zero_alloc(trainer, ds, batch_size):
+            return 1
 
     if telemetry:
         from .obs import disable, export_metrics, export_trace, reset
@@ -267,6 +250,38 @@ def cmd_train(args) -> int:
         disable()
         reset()
     return 0
+
+
+def _check_zero_alloc(trainer, ds, batch_size: int) -> bool:
+    """One extra epoch must not grow the slab, and every recorded step
+    shape's slab bytes must equal :class:`MemoryPlan`'s prediction."""
+    from .nn.memory import MemoryPlan
+
+    console = get_console()
+    before = trainer.arena_stats()["bytes_allocated"]
+    with np.errstate(all="ignore"):
+        trainer.fit(ds.x_train, ds.y_train, ds.x_test, ds.y_test,
+                    epochs=1, batch_size=batch_size)
+    stats = trainer.arena_stats()
+    grown = stats["bytes_allocated"] - before
+    exact = True
+    for plan in trainer.memory.plans.values():
+        kind = "train-step" if plan.training else "evaluation"
+        predicted = MemoryPlan.build(trainer.model, ds.input_shape, plan.batch_size,
+                                     loss=trainer.loss, training=plan.training)
+        exact &= predicted.pool_bytes == plan.pool_bytes
+        console.info(f"  {kind} plan, batch {plan.batch_size}: slab "
+                     f"{plan.pool_bytes:,} bytes (live peak {plan.peak_bytes:,}); "
+                     f"MemoryPlan predicts {predicted.pool_bytes:,} "
+                     f"(live peak {predicted.peak_bytes:,})")
+    console.info(f"slab: {stats['pool_bytes']:,} bytes for "
+                 f"{len(trainer.memory.plans)} step shapes, {grown:,} bytes "
+                 f"allocated over one extra epoch")
+    if grown or not exact:
+        console.info("zero-alloc check FAILED")
+        return False
+    console.info("zero-alloc check passed")
+    return True
 
 
 def cmd_predict(args) -> int:

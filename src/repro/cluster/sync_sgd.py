@@ -126,7 +126,7 @@ class SyncSGDConfig:
     static_memory:
         Each rank binds a :class:`repro.nn.MemoryContext` to its replica
         and loss, so steady-state steps run allocation-free out of a
-        per-rank arena.  Only the allocator changes: ``False`` runs the
+        per-rank slab.  Only the allocator changes: ``False`` runs the
         same layer code on fresh arrays, with bitwise-identical results.
     shuffle_seed:
         Must match the serial trainer's for consistency comparisons.
@@ -518,10 +518,7 @@ def train_sync_sgd(
                                 batch_loss = loss_fn.forward(logits, yb)
                                 grad = loss_fn.backward()
                                 if uses_sync_bn:
-                                    if memory is None:
-                                        grad = grad * weight
-                                    else:
-                                        grad *= weight  # in the arena slot
+                                    grad *= weight  # in place
                                 model.backward(grad)
                                 if len(local_idx) > 0:
                                     loss_sum += batch_loss * len(local_idx)
@@ -570,11 +567,15 @@ def train_sync_sgd(
                 if comm.rank == 0:
                     test_acc = float("nan")
                     if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+                        # count per batch: under static memory every batch's
+                        # logits reuse the same slab bytes
                         model.eval()
-                        preds = []
+                        correct = 0
                         for elo in range(0, len(x_test), 512):
-                            preds.append(model.forward(x_test[elo : elo + 512]))
-                        test_acc = top1_accuracy(np.concatenate(preds), y_test)
+                            logits = model.forward(x_test[elo : elo + 512])
+                            correct += int(np.count_nonzero(
+                                logits.argmax(axis=1) == y_test[elo : elo + 512]))
+                        test_acc = correct / len(x_test)
                     history.append(
                         EpochRecord(
                             epoch=epoch + 1,

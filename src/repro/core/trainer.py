@@ -81,7 +81,8 @@ class Trainer:
         serial and simulated-cluster runs see identical batch streams.
     static_memory:
         Bind a :class:`repro.nn.MemoryContext` to the model and loss so
-        steady-state steps run allocation-free out of a persistent arena.
+        steady-state steps run allocation-free out of one slab whose bytes
+        buffers share by recorded lifetime.
         This picks the layers' allocator, not their code: ``False`` runs
         the same arithmetic on fresh arrays, with bitwise-identical
         results.
@@ -109,7 +110,7 @@ class Trainer:
             self.loss.bind_memory(self.memory)
 
     def arena_stats(self) -> dict | None:
-        """Arena accounting snapshot, or ``None`` without static memory."""
+        """Slab accounting snapshot, or ``None`` without static memory."""
         return self.memory.arena.stats() if self.memory is not None else None
 
     # -- single step -----------------------------------------------------------
@@ -141,16 +142,12 @@ class Trainer:
                 xb, yb = x[lo : lo + chunk], y[lo : lo + chunk]
                 logits = self.model.forward(xb)
                 loss_val = self.loss.forward(logits, yb)
-                weight = len(xb) / n
-                if self.memory is None:
-                    self.model.backward(self.loss.backward() * weight)
-                else:
-                    # scale the loss gradient in its arena slot; x * 1.0 == x
-                    # bitwise, so the weight==1 fast case stays identical too
-                    grad = self.loss.backward()
-                    if weight != 1.0:
-                        grad *= weight
-                    self.model.backward(grad)
+                # scale the loss gradient in place; x * 1.0 == x bitwise, so
+                # skipping the full-batch case changes no bit
+                grad = self.loss.backward()
+                if len(xb) != n:
+                    grad *= len(xb) / n
+                self.model.backward(grad)
                 loss_sum += loss_val * len(xb)
                 correct += top1_accuracy(logits, yb) * len(xb)
             lr = self.schedule(self.iteration)

@@ -38,13 +38,7 @@ from .layers import (
     Tanh,
 )
 from .losses import SoftmaxCrossEntropy, log_softmax, softmax
-from .memory import (
-    Arena,
-    MemoryContext,
-    MemoryPlan,
-    bucket_nbytes,
-    plan_training_step,
-)
+from .memory import MemoryContext, MemoryPlan, plan_training_step
 from .tensor import Parameter
 
 __all__ = [
@@ -81,10 +75,8 @@ __all__ = [
     "check_layer_gradients",
     "numeric_gradient",
     "relative_error",
-    "Arena",
     "MemoryContext",
     "MemoryPlan",
-    "bucket_nbytes",
     "plan_training_step",
     "models",
 ]

@@ -1,9 +1,9 @@
 """Elementwise activation layers.
 
-Each layer has one code path.  Its buffers come from ``Module._buf`` /
-``Module._scratch``: arena slots when a memory context is bound via
-``Module.bind_memory``, fresh arrays otherwise, so the arithmetic is the
-same under both allocation policies.  The formulas are written with ufunc
+Each layer has one code path.  Its buffers come from ``Module._buf``:
+slab views when a memory context is bound via ``Module.bind_memory``,
+fresh arrays otherwise, so the arithmetic is the same under both
+allocation policies.  The formulas are written with ufunc
 ``out=`` calls and reproduce the textbook ``np.where`` forms bitwise for
 finite inputs — e.g. ``np.maximum(x, 0.0, out=y)`` equals
 ``np.where(x > 0, x, 0.0)``, including the ``+0.0`` sign at masked-off
@@ -44,9 +44,11 @@ class ReLU(_Elementwise):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        mask = self._buf("mask", x.shape, np.bool_)
-        np.greater(x, 0, out=mask)
-        self._mask = mask
+        self._mask = None
+        if self.training:
+            mask = self._buf("mask", x.shape, np.bool_)
+            np.greater(x, 0, out=mask)
+            self._mask = mask
         y = out if out is not None else self._buf("y", x.shape, x.dtype)
         np.maximum(x, 0.0, out=y)
         return y
@@ -75,19 +77,17 @@ class Sigmoid(_Elementwise):
         np.greater_equal(x, 0, out=pos)
         neg = self._buf("neg", x.shape, np.bool_)
         np.logical_not(pos, out=neg)
-        t = self._scratch(x.shape, np.float64)
+        t = self._buf("t", x.shape, np.float64)
         y = out if out is not None else self._buf("y", x.shape, np.float64)
         np.negative(x, out=t, where=pos)
         np.exp(t, out=t, where=pos)
         np.add(t, 1.0, out=t, where=pos)
         np.divide(1.0, t, out=y, where=pos)
         np.exp(x, out=t, where=neg)
-        u = self._scratch(x.shape, np.float64)
+        u = self._buf("u", x.shape, np.float64)
         np.add(t, 1.0, out=u, where=neg)
         np.divide(t, u, out=y, where=neg)
-        self._drop(u)
-        self._drop(t)
-        self._y = y
+        self._y = y if self.training else None
         return y
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -95,10 +95,9 @@ class Sigmoid(_Elementwise):
             raise RuntimeError("backward called before forward")
         dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, self._y, out=dx)
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._buf("t", grad_out.shape, np.float64)
         np.subtract(1.0, self._y, out=t)
         dx *= t
-        self._drop(t)
         self._y = None
         return dx
 
@@ -113,17 +112,16 @@ class Tanh(_Elementwise):
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = out if out is not None else self._buf("y", x.shape, x.dtype)
         np.tanh(x, out=y)
-        self._y = y
+        self._y = y if self.training else None
         return y
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._y is None:
             raise RuntimeError("backward called before forward")
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._buf("t", grad_out.shape, np.float64)
         np.multiply(self._y, self._y, out=t)
         np.subtract(1.0, t, out=t)
         dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, t, out=dx)
-        self._drop(t)
         self._y = None
         return dx

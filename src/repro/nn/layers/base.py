@@ -17,6 +17,7 @@ Design notes
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -28,22 +29,41 @@ __all__ = ["Module", "Sequential"]
 Shape = tuple[int, ...]
 
 
+def _opens_pass(forward):
+    """Wrap a layer class's ``forward``: on the module a memory context is
+    bound to (its root), every call first starts a new pass of the context."""
+
+    @functools.wraps(forward)
+    def wrapped(self, x, *args, **kwargs):
+        mem = self._memory
+        if mem is not None and mem.root is self:
+            mem.begin(x.shape, x.dtype, self.training)
+        return forward(self, x, *args, **kwargs)
+
+    return wrapped
+
+
 class Module:
     """Base class for all layers and containers."""
 
     #: bound memory context (class attribute: unbound modules pay nothing).
     #: It only picks the allocator: every layer has one code path, whose
-    #: :meth:`_buf`/:meth:`_scratch` requests come from the context's arena
-    #: when one is bound and from ``np.empty`` when this is ``None``.
+    #: :meth:`_buf` requests come from the context's slab when one is bound
+    #: and from ``np.empty`` when this is ``None``.
     _memory = None
 
     #: True on layers whose ``forward`` writes ``out`` with plain
     #: ufunc ``out=`` calls and therefore accepts a *non-contiguous* target.
     #: Only such layers may compute straight into a successor's padded-input
-    #: slot (see :meth:`input_slot`); layers that stage through
+    #: buffer (see :meth:`input_slot`); layers that stage through
     #: ``out.reshape(...)`` (convolutions, pools) would silently write a
     #: reshape copy instead, so they keep the default ``False``.
     _fusion_source = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "forward" in vars(cls):
+            cls.forward = _opens_pass(vars(cls)["forward"])
 
     #: human-readable type name used in summaries
     def __init__(self) -> None:
@@ -62,62 +82,45 @@ class Module:
         """Bind a :class:`repro.nn.memory.MemoryContext` to this subtree.
 
         From the next forward on, every descendant's buffer requests are
-        served by persistent arena slots instead of fresh arrays.  The
-        arithmetic is the same code either way, so results stay bitwise
-        identical (asserted by ``tests/nn/test_memory_parity.py``).
-        Returns ``self``.
+        served from the context's slab (after one recording pass per step
+        shape) instead of fresh arrays.  This module becomes the context's
+        root: each of its forwards starts a pass.  The arithmetic is the
+        same code either way, so results stay bitwise identical (asserted
+        by ``tests/nn/test_memory_parity.py``).  Returns ``self``.
         """
         for m in self.modules():
             m._memory = memory
+        memory.root = self
         return self
 
     def unbind_memory(self) -> "Module":
         """Detach the subtree's context: buffers are freshly allocated again."""
+        if self._memory is not None and self._memory.root is self:
+            self._memory.root = None
         for m in self.modules():
             vars(m).pop("_memory", None)
         return self
 
     def input_slot(self, x_shape, dtype) -> np.ndarray | None:
-        """Persistent buffer a producer may write this layer's input into.
+        """Buffer a producer may write this layer's input into.
 
         Containers delegate to the layer that actually consumes the input;
-        layers holding a padded persistent input slot (``Conv2D`` with
+        layers that pad their input into a buffer (``Conv2D`` with
         ``padding > 0``) return its interior view so the producing layer
         computes straight into it, eliding one interior copy per step.
         ``None`` (the default) means no such buffer — the producer writes
-        its own output slot as usual.
+        its own output buffer as usual.
         """
         return None
 
     def _buf(self, tag: str, shape, dtype=np.float64) -> np.ndarray:
-        """Persistent slot when a memory context is bound, else a fresh array."""
+        """A buffer for this call: a slab view when a memory context is
+        bound (its lifetime is whatever references keep it alive), else a
+        fresh array."""
         mem = self._memory
-        if mem is not None:
-            # Per-module memo of resolved slots: steady-state shapes are
-            # fixed, so repeat requests skip the context's keyed lookup.
-            cache = self.__dict__.get("_slot_memo")
-            if cache is None or cache[0] is not mem:
-                cache = (mem, {})
-                self._slot_memo = cache
-            entry = cache[1].get(tag)
-            if entry is not None and entry[0] == shape and entry[1] == dtype:
-                return entry[2]
-            buf = mem.slot(self, tag, shape, dtype)
-            cache[1][tag] = (tuple(shape), dtype, buf)
-            return buf
-        return np.empty(shape, dtype=dtype)
-
-    def _scratch(self, shape, dtype=np.float64) -> np.ndarray:
-        """Call-scoped buffer; pair with :meth:`_drop` before returning."""
-        mem = self._memory
-        if mem is not None:
-            return mem.scratch(shape, dtype)
-        return np.empty(shape, dtype=dtype)
-
-    def _drop(self, buf: np.ndarray) -> None:
-        mem = self._memory
-        if mem is not None:
-            mem.release(buf)
+        if mem is None:
+            return np.empty(shape, dtype=dtype)
+        return mem.request(self, tag, shape, dtype)
 
     def parameters(self) -> list[Parameter]:
         """All trainable parameters in this subtree, in deterministic order."""
@@ -163,14 +166,21 @@ class Module:
 
     def train(self) -> "Module":
         """Switch this subtree to training mode (BN batch stats, dropout on)."""
-        for m in self.modules():
-            m.training = True
-        return self
+        return self._set_mode(True)
 
     def eval(self) -> "Module":
-        """Switch this subtree to inference mode."""
+        """Switch this subtree to inference mode.
+
+        Layers keep no backward-only state from an inference forward, so a
+        ``backward`` after it raises instead of reading recycled buffers.
+        """
+        return self._set_mode(False)
+
+    def _set_mode(self, training: bool) -> "Module":
+        if self._memory is not None and self.training != training:
+            self._memory.close()  # the mode is part of a pass's key
         for m in self.modules():
-            m.training = False
+            m.training = training
         return self
 
     def num_parameters(self) -> int:
@@ -312,8 +322,8 @@ class Sequential(Module):
             np.copyto(out, x)
             return out
         # When a layer can write a non-contiguous target and its successor
-        # exposes a padded-input slot (only while a memory context is
-        # bound), compute straight into that slot's interior — the
+        # exposes a padded-input buffer (only while a memory context is
+        # bound), compute straight into that buffer's interior — the
         # successor skips its interior copy.
         shapes = self._layer_out_shapes(x.shape)
         last = len(layers) - 1

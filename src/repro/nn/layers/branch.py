@@ -39,9 +39,9 @@ class ConcatBranches(Module):
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         outs = [b.forward(x) for b in self.branches]
-        self._splits = [o.shape[1] for o in outs]
+        self._splits = [o.shape[1] for o in outs] if self.training else None
         n = outs[0].shape[0]
-        shape = (n, sum(self._splits), *outs[0].shape[2:])
+        shape = (n, sum(o.shape[1] for o in outs), *outs[0].shape[2:])
         y = out if out is not None else self._buf("y", shape, np.float64)
         np.concatenate(outs, axis=1, out=y)
         return y

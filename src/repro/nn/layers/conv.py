@@ -13,7 +13,7 @@ in ``tests/nn/test_conv_parity.py``):
 
 * :func:`im2col_view` exposes the zero-copy strided patch view; the public
   :func:`im2col` materialises it into a caller-supplied ``out=`` buffer
-  (an arena slot when a memory context is bound).
+  (a slab view when a memory context is bound).
 * :func:`col2im` takes a single vectorised scatter when the windows cannot
   overlap (``stride >= kernel``) and falls back to the per-offset
   slice-add loop otherwise.
@@ -33,7 +33,15 @@ from ..initializers import Initializer, he_normal, zeros
 from ..tensor import Parameter, cached_einsum
 from .base import Module, Shape
 
-__all__ = ["Conv2D", "im2col", "im2col_view", "col2im", "col2im_clipped", "conv_output_hw"]
+__all__ = [
+    "Conv2D",
+    "im2col",
+    "im2col_view",
+    "col2im",
+    "col2im_clipped",
+    "conv_output_hw",
+    "fill_border",
+]
 
 # Backward-GEMM strategy crossover (total MACs): below this, batched
 # ``np.matmul`` with folded batch axes wins; above it, einsum's tensordot
@@ -52,6 +60,20 @@ def conv_output_hw(
             f"window {kh}x{kw} stride {stride} pad {pad} does not fit input {h}x{w}"
         )
     return oh, ow
+
+
+def fill_border(xpad: np.ndarray, pad: int, value: float) -> np.ndarray:
+    """Write ``value`` into the ``pad``-wide spatial border of ``xpad``.
+
+    Padded-input buffers get their border written on every forward — four
+    strips instead of the whole buffer — and the interior from the input.
+    Nothing survives between passes, which a shared slab requires.
+    """
+    xpad[:, :, :pad] = value
+    xpad[:, :, -pad:] = value
+    xpad[:, :, pad:-pad, :pad] = value
+    xpad[:, :, pad:-pad, -pad:] = value
+    return xpad
 
 
 def im2col_view(
@@ -248,8 +270,8 @@ class Conv2D(Module):
         self.weight = Parameter(weight_init(wshape, rng))
         self.bias = Parameter(bias_init((out_channels,), rng), weight_decay=0.0) if bias else None
         self._cache: tuple | None = None
-        self._xpad_primed: np.ndarray | None = None
-        self._fused_x: np.ndarray | None = None
+        self._fused: tuple | None = None  # (interior view, padded buffer)
+        self._held: np.ndarray | None = None  # unbound: the last training padded input
 
     def output_shape(self, input_shape: Shape) -> Shape:
         c, h, w = input_shape
@@ -272,13 +294,13 @@ class Conv2D(Module):
         return self.kernel_size == 1 and self.padding == 0
 
     def input_slot(self, x_shape, dtype):
-        """Interior view of the persistent padded-input slot.
+        """Interior view of the padded-input buffer.
 
         A fusion-capable producer (``Module._fusion_source``) writes our
         input directly into this view; ``forward`` then recognises the
-        handoff (``x is self._fused_x``) and skips the interior copy.  The
-        zero border is primed here so the producer's write completes the
-        padded image.
+        handoff (``x`` is this view) and skips the interior copy.  The zero
+        border is written here so the producer's write completes the padded
+        image.
         """
         if (
             self._memory is None
@@ -291,15 +313,9 @@ class Conv2D(Module):
             return None
         n, c, h, w = x_shape
         p = self.padding
-        xpad = self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), np.float64)
-        if self._xpad_primed is not xpad:
-            xpad[...] = 0.0
-            self._xpad_primed = xpad
-        fused = self._fused_x
-        if fused is None or fused.base is not xpad:
-            fused = xpad[:, :, p:-p, p:-p]
-            self._fused_x = fused
-        return fused
+        xpad = fill_border(self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), np.float64), p, 0.0)
+        self._fused = (xpad[:, :, p:-p, p:-p], xpad)
+        return self._fused[0]
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, c, h, w = x.shape
@@ -319,17 +335,25 @@ class Conv2D(Module):
         else:
             cols = self._buf("cols", (n, c * k * k, oh * ow), x.dtype)
             if p > 0:
-                # Pre-padded input buffer: the zero border is written only
-                # when the buffer is new (a bound slot is exclusive to this
-                # layer, so it survives across steps) and each step copies
-                # just the interior.  When a fused producer already wrote
-                # the interior (``input_slot``), even that copy is skipped.
-                xpad = self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), x.dtype)
-                if x is not self._fused_x:
-                    if self._xpad_primed is not xpad:
-                        xpad[...] = 0.0
-                        self._xpad_primed = xpad
+                # Padded input buffer: the zero border plus a copy of the
+                # interior — or, when a fused producer already wrote the
+                # interior through ``input_slot``, nothing at all.
+                fused, self._fused = self._fused, None
+                if fused is not None and x is fused[0]:
+                    xpad = fused[1]
+                else:
+                    xpad = fill_border(
+                        self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), x.dtype), p, 0.0)
                     xpad[:, :, p:-p, p:-p] = x
+                # Unbound, a training forward holds its padded buffer until
+                # the next forward.  Freed here, it lets glibc trim the heap
+                # top every step and fault it back in (a 3×3 conv's
+                # forward+backward measured ~15% slower).  An inference
+                # forward's buffer is freed at once: held, it sits among the
+                # pass's freed buffers and keeps glibc from returning them,
+                # so peak RSS came to depend on which thread's malloc arena
+                # each evaluation ran in.
+                self._held = xpad if self._memory is None and self.training else None
                 im2col(xpad, k, k, s, 0, out=cols)
             else:
                 im2col(x, k, k, s, 0, out=cols)
@@ -341,7 +365,7 @@ class Conv2D(Module):
         np.matmul(w2[None], cols_g, out=y.reshape(n, g, og, oh * ow))
         if self.bias is not None:
             y += self.bias.data[None, :, None, None]
-        self._cache = (x.shape, cols_g, (oh, ow))
+        self._cache = (x.shape, cols_g, (oh, ow)) if self.training else None
         return y
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -356,34 +380,34 @@ class Conv2D(Module):
         span = oh * ow
         go = grad_out.reshape(n, g, og, span)
         w2 = self.weight.data.reshape(g, og, ckk)
-        dw = self._scratch((g, og, ckk), np.float64)
+        dw = self._buf("dw", (g, og, ckk), np.float64)
         dcols = self._buf("dcols", (n, g, ckk, span), np.float64)
         if n * g * og * ckk * span <= _BATCHED_MATMUL_MAX_MACS:
             # Fold the batch into the GEMM columns: one (og × nL)·(nL × ckk)
             # product per group beats einsum's dispatch overhead here.  The
             # staging copies keep their operands' dtypes, so the GEMM runs
             # in the precision of ``grad_out``/``cols``.
-            t1 = self._scratch((g, og, n, span), grad_out.dtype)
+            t1 = self._buf("t1", (g, og, n, span), grad_out.dtype)
             t1[...] = go.transpose(1, 2, 0, 3)
-            t2 = self._scratch((g, n, span, ckk), cols_g.dtype)
+            t2 = self._buf("t2", (g, n, span, ckk), cols_g.dtype)
             t2[...] = cols_g.transpose(1, 0, 3, 2)
             np.matmul(t1.reshape(g, og, n * span), t2.reshape(g, n * span, ckk), out=dw)
-            self._drop(t2)
-            self._drop(t1)
+            del t1, t2
             np.matmul(w2.transpose(0, 2, 1)[None], go, out=dcols)
         else:
             # Large problems: einsum's contraction order wins; the path is
             # memoised per shape so only the first call pays for planning.
             cached_einsum("ngol,ngcl->goc", go, cols_g, out=dw)
             cached_einsum("goc,ngol->ngcl", w2, go, out=dcols)
+        self._cache = None
+        del cols_g  # the columns are dead: their bytes serve dx below
         self.weight.grad += dw.reshape(self.weight.data.shape)
-        self._drop(dw)
+        del dw
         if self.bias is not None:
-            db = self._scratch((self.out_channels,), grad_out.dtype)
+            db = self._buf("db", (self.out_channels,), grad_out.dtype)
             np.sum(grad_out, axis=(0, 2, 3), out=db)
             self.bias.grad += db
-            self._drop(db)
-        self._cache = None
+            del db
         if self._is_pointwise():
             # Adjoint of the strided subsampling: no col2im needed.
             if s == 1:

@@ -45,7 +45,7 @@ class Dense(Module):
         return flops
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        self._x = x
+        self._x = x if self.training else None
         y = out if out is not None else self._buf("y", (x.shape[0], self.out_features), np.float64)
         np.matmul(x, self.weight.data, out=y)
         if self.bias is not None:
@@ -55,15 +55,15 @@ class Dense(Module):
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        dw = self._scratch((self.in_features, self.out_features), np.float64)
+        dw = self._buf("dw", (self.in_features, self.out_features), np.float64)
         np.matmul(self._x.T, grad_out, out=dw)
         self.weight.grad += dw
-        self._drop(dw)
+        del dw
         if self.bias is not None:
-            db = self._scratch((self.out_features,), grad_out.dtype)
+            db = self._buf("db", (self.out_features,), grad_out.dtype)
             np.sum(grad_out, axis=0, out=db)
             self.bias.grad += db
-            self._drop(db)
+            del db
         dx = out if out is not None else self._buf("dx", self._x.shape, np.float64)
         np.matmul(grad_out, self.weight.data.T, out=dx)
         self._x = None

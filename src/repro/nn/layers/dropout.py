@@ -20,8 +20,8 @@ class Dropout(Module):
 
     The mask is drawn into a layer buffer with ``Generator.random(out=...)``,
     which consumes the identical stream as ``rng.random(shape)``; with a
-    bound memory context that buffer and the output are persistent arena
-    slots, so steady-state steps never reallocate them.
+    bound memory context that buffer and the output are slab views, so
+    steady-state steps never reallocate them.
     """
 
     _fusion_source = True  # forward writes ``out`` via plain ufuncs

@@ -93,8 +93,7 @@ class BatchNorm(Module):
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         y, xhat = self._normalize(x, mean, inv_std, out=out)
-        if self.training:
-            self._cache = (xhat, inv_std)
+        self._cache = (xhat, inv_std) if self.training else None
         return y
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -107,12 +106,12 @@ class BatchNorm(Module):
         # Standard BN backward,
         #   dx = (inv_std / m) * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
         # evaluated into reusable buffers one binary op at a time.
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._buf("t", grad_out.shape, np.float64)
         np.multiply(grad_out, xhat, out=t)
         self.gamma.grad += t.sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
         g = self._expand(self.gamma.data, nd)
-        dxh = self._scratch(grad_out.shape, np.float64)
+        dxh = self._buf("dxh", grad_out.shape, np.float64)
         np.multiply(grad_out, g, out=dxh)
         sum_dxhat = self._expand(dxh.sum(axis=axes), nd)
         np.multiply(dxh, xhat, out=t)
@@ -123,8 +122,6 @@ class BatchNorm(Module):
         np.multiply(xhat, sum_dxhat_xhat, out=t)
         dx -= t
         dx *= self._expand(inv_std, nd) / m
-        self._drop(dxh)
-        self._drop(t)
         self._cache = None
         return dx
 
@@ -198,12 +195,12 @@ class SyncBatchNorm(BatchNorm):
         # allreduce sums them across ranks like every other parameter, which
         # is exactly the global sum the serial run computes.  Sums over an
         # empty shard are zeros, so such a rank still joins the allreduce.
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._buf("t", grad_out.shape, np.float64)
         np.multiply(grad_out, xhat, out=t)
         self.gamma.grad += t.sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
         g = self._expand(self.gamma.data, nd)
-        dxh = self._scratch(grad_out.shape, np.float64)
+        dxh = self._buf("dxh", grad_out.shape, np.float64)
         np.multiply(grad_out, g, out=dxh)
         np.multiply(dxh, xhat, out=t)
         # ...but dx needs the *global* reduction terms of the BN backward
@@ -218,8 +215,6 @@ class SyncBatchNorm(BatchNorm):
         np.multiply(xhat, sum_dxhat_xhat, out=t)
         dx -= t
         dx *= self._expand(inv_std, nd) / count
-        self._drop(dxh)
-        self._drop(t)
         self._cache = None
         return dx
 
@@ -266,36 +261,32 @@ class LocalResponseNorm(Module):
         ``out``: channel prefix sums (led by a zero) gathered at the window
         bounds and subtracted."""
         n, c = sq.shape[0], sq.shape[1]
-        csum = self._scratch((n, c + 1, *sq.shape[2:]), np.float64)
+        csum = self._buf("csum", (n, c + 1, *sq.shape[2:]), np.float64)
         csum[:, :1] = 0.0
         np.cumsum(sq, axis=1, out=csum[:, 1:])
         hi, lo = self._bounds(c)
-        th = self._scratch(sq.shape, np.float64)
+        th = self._buf("th", sq.shape, np.float64)
         np.take(csum, hi, axis=1, out=th)
-        tl = self._scratch(sq.shape, np.float64)
+        tl = self._buf("tl", sq.shape, np.float64)
         np.take(csum, lo, axis=1, out=tl)
         np.subtract(th, tl, out=out)
-        self._drop(tl)
-        self._drop(th)
-        self._drop(csum)
         return out
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        sq = self._scratch(x.shape, np.float64)
+        sq = self._buf("sq", x.shape, np.float64)
         np.multiply(x, x, out=sq)
-        ssum = self._scratch(x.shape, np.float64)
+        ssum = self._buf("ssum", x.shape, np.float64)
         self._window_sum(sq, ssum)
-        self._drop(sq)
+        del sq
         denom = self._buf("denom", x.shape, np.float64)
         np.multiply(ssum, self.alpha / self.size, out=denom)
         denom += self.k
-        self._drop(ssum)
-        t = self._scratch(x.shape, np.float64)
+        del ssum
+        t = self._buf("t", x.shape, np.float64)
         np.power(denom, -self.beta, out=t)
         y = out if out is not None else self._buf("y", x.shape, np.float64)
         np.multiply(x, t, out=y)
-        self._drop(t)
-        self._cache = (x, denom)
+        self._cache = (x, denom) if self.training else None
         return y
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -307,24 +298,23 @@ class LocalResponseNorm(Module):
         #        - 2 beta (alpha/n) x_c * sum_{j: c in win(j)} g_j x_j d_j^{-beta-1}
         # and "c in window(j)" is symmetric to "j in window(c)" for a centred
         # window, so the inner sum is again a sliding-window sum.
-        dpow = self._scratch(grad_out.shape, np.float64)
+        self._cache = None
+        dpow = self._buf("dpow", grad_out.shape, np.float64)
         np.power(denom, -self.beta, out=dpow)
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._buf("t", grad_out.shape, np.float64)
         np.multiply(grad_out, x, out=t)
         t *= dpow
         t /= denom
-        tsum = self._scratch(grad_out.shape, np.float64)
+        del denom
+        tsum = self._buf("tsum", grad_out.shape, np.float64)
         self._window_sum(t, tsum)
-        self._drop(t)
+        del t
         dx = out if out is not None else self._buf("dx", grad_out.shape, np.float64)
         np.multiply(grad_out, dpow, out=dx)
-        self._drop(dpow)
-        t2 = self._scratch(grad_out.shape, np.float64)
+        del dpow
+        t2 = self._buf("t2", grad_out.shape, np.float64)
         # fold left: ((scalar * x) * tsum)
         np.multiply(x, 2.0 * self.beta * (self.alpha / self.size), out=t2)
         t2 *= tsum
         dx -= t2
-        self._drop(tsum)
-        self._drop(t2)
-        self._cache = None
         return dx

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Module, Shape
-from .conv import col2im, col2im_clipped, conv_output_hw, im2col
+from .conv import col2im, col2im_clipped, conv_output_hw, fill_border, im2col
 
 __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
@@ -19,7 +19,6 @@ class MaxPool2D(Module):
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
         self._cache: tuple | None = None
-        self._xpad_primed: np.ndarray | None = None
 
     def output_shape(self, input_shape: Shape) -> Shape:
         c, h, w = input_shape
@@ -35,26 +34,22 @@ class MaxPool2D(Module):
         k, s, p = self.kernel_size, self.stride, self.padding
         hp, wp = h + 2 * p, w + 2 * p
         if p > 0:
-            xp = self._buf("xpad", (n, c, hp, wp), x.dtype)
-            if self._xpad_primed is not xp:
-                # -inf border written only into a new buffer; a bound slot
-                # is exclusive to this layer, so it survives between steps
-                xp[...] = -np.inf
-                self._xpad_primed = xp
-            xp[:, :, p:-p, p:-p] = x
-            xw = xp
+            xw = fill_border(self._buf("xpad", (n, c, hp, wp), x.dtype), p, -np.inf)
+            xw[:, :, p:-p, p:-p] = x
         else:
             xw = x
         oh, ow = conv_output_hw(hp, wp, k, k, s, 0)
         cols = self._buf("cols", (n * c, k * k, oh * ow), x.dtype)
         im2col(xw.reshape(n * c, 1, hp, wp), k, k, s, 0, out=cols)
         cols4 = cols.reshape(n, c, k * k, oh * ow)
-        argmax = self._buf("argmax", (n, c, oh * ow), np.intp)
-        np.argmax(cols4, axis=2, out=argmax)
+        self._cache = None
+        if self.training:
+            argmax = self._buf("argmax", (n, c, oh * ow), np.intp)
+            np.argmax(cols4, axis=2, out=argmax)
+            self._cache = ((n, c, h, w), argmax, (oh, ow))
         y = out if out is not None else self._buf("y", (n, c, oh, ow), x.dtype)
         # amax == the value take_along_axis(argmax) extracts, bit for bit
         np.amax(cols4, axis=2, out=y.reshape(n, c, oh * ow))
-        self._cache = ((n, c, h, w), argmax, (oh, ow))
         return y
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -63,27 +58,26 @@ class MaxPool2D(Module):
         (n, c, h, w), argmax, (oh, ow) = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
         hp, wp = h + 2 * p, w + 2 * p
-        dcols = self._scratch((n, c, k * k, oh * ow), np.float64)
+        dcols = self._buf("dcols", (n, c, k * k, oh * ow), np.float64)
         dcols[...] = 0.0
         go = grad_out.reshape(n, c, 1, oh * ow)
         np.put_along_axis(dcols, argmax[:, :, None, :], go, axis=2)
+        self._cache = None
+        del argmax
         if p > 0 and s < k:
             dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
             col2im_clipped(
                 dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, h, w), k, k, s, p,
                 out=dx.reshape(n * c, 1, h, w),
             )
-            self._drop(dcols)
-            self._cache = None
             return dx
         pad_buf = self._buf("dx_pad", (n * c, 1, hp, wp), np.float64)
         dxv = col2im(
             dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, hp, wp), k, k, s, 0,
             out=pad_buf,
         )
-        self._drop(dcols)
+        del dcols
         dxv = dxv.reshape(n, c, hp, wp)
-        self._cache = None
         if p > 0:
             dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
             np.copyto(dx, dxv[:, :, p:-p, p:-p])
@@ -103,7 +97,6 @@ class AvgPool2D(Module):
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
         self._x_shape: tuple | None = None
-        self._xpad_primed: np.ndarray | None = None
 
     def output_shape(self, input_shape: Shape) -> Shape:
         c, h, w = input_shape
@@ -119,12 +112,8 @@ class AvgPool2D(Module):
         k, s, p = self.kernel_size, self.stride, self.padding
         hp, wp = h + 2 * p, w + 2 * p
         if p > 0:
-            xp = self._buf("xpad", (n, c, hp, wp), x.dtype)
-            if self._xpad_primed is not xp:
-                xp[...] = 0.0
-                self._xpad_primed = xp
-            xp[:, :, p:-p, p:-p] = x
-            xw = xp
+            xw = fill_border(self._buf("xpad", (n, c, hp, wp), x.dtype), p, 0.0)
+            xw[:, :, p:-p, p:-p] = x
         else:
             xw = x
         oh, ow = conv_output_hw(hp, wp, k, k, s, 0)
@@ -132,7 +121,7 @@ class AvgPool2D(Module):
         im2col(xw.reshape(n * c, 1, hp, wp), k, k, s, 0, out=cols)
         y = out if out is not None else self._buf("y", (n, c, oh, ow), x.dtype)
         cols.reshape(n, c, k * k, oh * ow).mean(axis=2, out=y.reshape(n, c, oh * ow))
-        self._x_shape = x.shape
+        self._x_shape = x.shape if self.training else None
         self._ohw = (oh, ow)
         return y
 
@@ -142,24 +131,22 @@ class AvgPool2D(Module):
         n, c, h, w = self._x_shape
         oh, ow = self._ohw
         k, s, p = self.kernel_size, self.stride, self.padding
-        go = self._scratch((n * c, 1, oh * ow), np.float64)
+        go = self._buf("go", (n * c, 1, oh * ow), np.float64)
         np.divide(grad_out.reshape(n * c, 1, oh * ow), k * k, out=go)
-        dcols = self._scratch((n * c, k * k, oh * ow), np.float64)
+        dcols = self._buf("dcols", (n * c, k * k, oh * ow), np.float64)
         dcols[...] = go
-        self._drop(go)
+        del go
+        self._x_shape = None
         if p > 0 and s < k:
             dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
             col2im_clipped(
                 dcols, (n * c, 1, h, w), k, k, s, p, out=dx.reshape(n * c, 1, h, w)
             )
-            self._drop(dcols)
-            self._x_shape = None
             return dx
         hp, wp = h + 2 * p, w + 2 * p
         pad_buf = self._buf("dx_pad", (n * c, 1, hp, wp), np.float64)
         dxv = col2im(dcols, (n * c, 1, h, w), k, k, s, p, out=pad_buf)
-        self._drop(dcols)
-        self._x_shape = None
+        del dcols
         if p > 0:
             dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
             np.copyto(dx.reshape(n * c, 1, h, w), dxv)
@@ -185,7 +172,7 @@ class GlobalAvgPool2D(Module):
         return int(np.prod(input_shape))
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        self._x_shape = x.shape
+        self._x_shape = x.shape if self.training else None
         n, c = x.shape[0], x.shape[1]
         y = out if out is not None else self._buf("y", (n, c), x.dtype)
         x.mean(axis=(2, 3), out=y)

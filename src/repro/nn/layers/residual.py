@@ -62,9 +62,11 @@ class Residual(Module):
         short = x if self.shortcut is None else self.shortcut.forward(x)
         pre = self._buf("pre", main.shape, np.float64)
         np.add(main, short, out=pre)
-        mask = self._buf("mask", main.shape, np.bool_)
-        np.greater(pre, 0, out=mask)
-        self._relu_mask = mask
+        self._relu_mask = None
+        if self.training:
+            mask = self._buf("mask", main.shape, np.bool_)
+            np.greater(pre, 0, out=mask)
+            self._relu_mask = mask
         y = out if out is not None else self._buf("y", main.shape, np.float64)
         np.maximum(pre, 0.0, out=y)
         return y
@@ -84,8 +86,8 @@ class Residual(Module):
         if out is not None:
             np.add(dbranch, other, out=out)
             return out
-        # Sum in place into the branch's gradient buffer (a persistent slot
-        # of its first layer, dead until that layer's next backward): one
-        # fewer memory stream than writing a third buffer, same bits.
+        # Sum in place into the branch's gradient buffer (its first layer's
+        # dx, which nothing else reads): one fewer memory stream than
+        # writing a third buffer, same bits.
         np.add(dbranch, other, out=dbranch)
         return dbranch

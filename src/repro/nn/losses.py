@@ -37,28 +37,38 @@ class SoftmaxCrossEntropy:
     #: bound memory context (mirrors ``Module._memory``; see repro.nn.memory)
     _memory = None
 
-    # The layers' buffer helpers: arena slots/scratch when a context is
-    # bound, fresh arrays otherwise.
+    # The layers' buffer helper: slab views when a context is bound, fresh
+    # arrays otherwise.
     _buf = Module._buf
-    _scratch = Module._scratch
-    _drop = Module._drop
 
     def __init__(self, label_smoothing: float = 0.0):
         if not 0.0 <= label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
         self.label_smoothing = float(label_smoothing)
         self._cache: tuple | None = None
+        self._held: list = []
 
     def bind_memory(self, memory) -> "SoftmaxCrossEntropy":
-        """Bind a memory context: logits-sized buffers come from its arena."""
+        """Bind a memory context: logits-sized buffers come from its slab.
+
+        The loss is the context's root (its forward starts each pass) only
+        when no model is bound to the context.
+        """
         self._memory = memory
+        if memory.root is None:
+            memory.root = self
         return self
 
     def unbind_memory(self) -> "SoftmaxCrossEntropy":
+        if self._memory is not None and self._memory.root is self:
+            self._memory.root = None
         vars(self).pop("_memory", None)
         return self
 
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+        mem = self._memory
+        if mem is not None and mem.root is self:
+            mem.begin(logits.shape, logits.dtype, True)
         targets = np.asarray(targets, dtype=np.int64)
         n, k = logits.shape
         if targets.shape != (n,):
@@ -71,15 +81,21 @@ class SoftmaxCrossEntropy:
             return 0.0
         if targets.min() < 0 or targets.max() >= k:
             raise ValueError("target class out of range")
+        # Keep the step's boundary arrays — the logits and (below) the
+        # gradient returned for them — referenced until the next forward: a
+        # bound context measures buffer lifetimes by reference count, and
+        # this makes the step's plan the same whether or not the caller
+        # keeps them to the end of the step (the trainers do).
+        self._held = [logits]
         # log_softmax's op sequence, into the layer's buffers
         logp = self._buf("logp", (n, k), np.float64)
         np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
-        t = self._scratch((n, k), np.float64)
+        t = self._buf("t", (n, k), np.float64)
         np.exp(logp, out=t)
         s = t.sum(axis=1, keepdims=True)
         np.log(s, out=s)
         logp -= s
-        self._drop(t)
+        del t
         eps = self.label_smoothing
         nll = -logp[np.arange(n), targets]
         if eps > 0.0:
@@ -100,16 +116,15 @@ class SoftmaxCrossEntropy:
             self._cache = None
             return np.zeros((0, k))
         eps = self.label_smoothing
-        probs = self._scratch((n, k), np.float64)
+        probs = self._buf("probs", (n, k), np.float64)
         np.exp(logp, out=probs)
-        target_dist = self._scratch((n, k), np.float64)
+        target_dist = self._buf("td", (n, k), np.float64)
         target_dist[...] = eps / k
         target_dist[np.arange(n), targets] += 1.0 - eps
         grad = self._buf("dlogits", (n, k), np.float64)
         np.subtract(probs, target_dist, out=grad)
         grad /= n
-        self._drop(target_dist)
-        self._drop(probs)
+        self._held.append(grad)
         self._cache = None
         return grad
 

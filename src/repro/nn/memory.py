@@ -1,43 +1,49 @@
-"""Graph-wide memory planning: arena allocator + static activation plan.
+"""Static memory: one slab per context, carved by recorded buffer lifetimes.
 
 Large-batch training ("ImageNet Training in Minutes", You et al. 2018) is
-an exercise in per-iteration efficiency: once communication is overlapped
-(PR 4), the remaining steady-state tax in this numpy substrate is the
-allocator — every layer's ``forward``/``backward`` conjures fresh ndarrays
-whose size scales with the global batch.  This module removes that tax:
+capped by device memory — Figure 3's throughput curve ends in an OOM wall —
+and, in this numpy substrate, taxed by the allocator: every layer's
+``forward``/``backward`` asks for arrays whose size scales with the batch.
+This module serves those requests out of one preallocated buffer whose
+bytes are shared by every buffer whose lifetime does not overlap:
 
-* :class:`Arena` — a size-bucketed freelist of flat ndarrays.  ``acquire``
-  rounds the request up to a power-of-two bucket and reuses a free buffer
-  of that bucket when one exists; ``release`` returns a buffer to its
-  bucket.  Cumulative ``bytes_allocated``, current ``in_use_bytes`` and
-  high-water ``peak_bytes`` make "zero allocations in steady state" a
-  checkable invariant rather than a hope.
-* :class:`MemoryContext` — the binding between a model and an arena.
-  Layers request *slots* (persistent, keyed by ``(module, tag, shape,
-  dtype)``: activations, masks, gradient outputs — anything whose lifetime
-  crosses a layer-call boundary) and *scratch* (acquired and released
-  inside one layer call: GEMM staging, reduction temporaries — these are
-  where the freelist earns real reuse, because consecutive layer calls
-  recycle the same buckets).
-* :class:`MemoryPlan` — a static analyser.  It shape-infers the layer
-  graph once (per-layer rules mirror the exact slot/scratch requests the
-  layer code makes), assigns each buffer a liveness interval in
-  forward/backward tick order, and replays the whole request stream
-  through a dry-run arena.  Because prediction and measurement share the
-  same bucket accounting, the predicted peak is the measured peak — the
-  closed-form ``repro.perfmodel.memory`` predictor is pinned to it by
-  test.
+* **Recording.**  The first pass at each new key — the shape and dtype
+  of the root's input and its training flag — runs on fresh ``np.empty``
+  buffers.  Each ``Module._buf`` request is logged with its birth (its
+  index in the pass) and its death (the request count when CPython frees
+  the array, seen through a weakref callback).  Reference counting sees
+  views, ``out=`` pass-through, in-place sums and layer caches for free,
+  so no layer describes its own buffers.
+* **Packing.**  :func:`pack` turns the intervals into 64-byte-aligned
+  offsets with greedy-by-size assignment (Pisarchyk & Lee 2020,
+  https://arxiv.org/abs/2001.03288): largest buffer first, each into the
+  tightest gap left by the already-placed buffers it is live with.
+* **Replay.**  Later passes at that key get views of the slab, handed out
+  in request order; each request is checked against the recorded
+  ``(owner, tag, shape, dtype)`` and a mismatch raises.  The slab is sized
+  to the largest plan seen, so every step shape (training batch, short
+  final batch, evaluation batch) shares one buffer.
 
-Binding picks the allocator, not the code: every layer has one code path
-whose ``Module._buf``/``_scratch`` requests this context serves from the
-arena, and with no :class:`MemoryContext` attached (``static_memory=False``,
-the default everywhere) the same requests get fresh ``np.empty`` arrays —
-same arithmetic, same bits.
+A pass starts when the context's *root* — the module ``bind_memory`` was
+called on — runs ``forward``, and a pass's buffers are valid until the
+next pass starts.  A request outside a pass raises.  Switching the model
+between ``train()`` and ``eval()`` closes the pass, so a recording is
+packed as soon as its mode ends.
+
+:class:`MemoryPlan` *is* the recorded pass.  ``MemoryPlan.build`` records
+one pass on a deep copy of the model fed zeros, so the predicted bytes are
+the bytes a live context measures, by construction.
+
+Binding picks the allocator, not the code: with no :class:`MemoryContext`
+attached (``static_memory=False``, the default everywhere) the same
+requests get fresh ``np.empty`` arrays — same arithmetic, same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,864 +51,364 @@ from ..obs.metrics import counter as _counter
 from ..obs.metrics import gauge as _gauge
 
 __all__ = [
-    "Arena",
+    "ALIGN",
     "MemoryContext",
     "MemoryPlan",
     "PlannedBuffer",
-    "bucket_nbytes",
+    "Slab",
+    "aligned",
+    "pack",
     "plan_training_step",
 ]
 
-#: smallest bucket the arena hands out (bytes)
-MIN_BUCKET_BYTES = 64
-
-#: cache-coloring stride and cycle length.  Power-of-two buckets come back
-#: from the allocator at addresses congruent modulo large powers of two, so
-#: without an offset every big buffer maps onto the same cache sets and
-#: multi-stream ufuncs thrash (heap-allocated fresh temporaries get this
-#: stagger for free).  Each fresh bucket is shifted by the next multiple of
-#: one page + one cache line, restoring the stagger.
-_COLOR_STRIDE_BYTES = 4096 + 64
-_COLOR_CYCLE = 16
+#: slab offsets and buffer extents are multiples of one cache line
+ALIGN = 64
 
 
-def bucket_nbytes(nbytes: int) -> int:
-    """Round a byte count up to the arena's bucket size (power of two)."""
-    if nbytes <= MIN_BUCKET_BYTES:
-        return MIN_BUCKET_BYTES
-    return 1 << (int(nbytes) - 1).bit_length()
+def aligned(nbytes: int) -> int:
+    """Round a byte count up to a multiple of :data:`ALIGN`."""
+    return -(-int(nbytes) // ALIGN) * ALIGN
 
 
-class Arena:
-    """Size-bucketed freelist of reusable flat ndarrays.
+def pack(sizes, starts, ends) -> tuple[list[int], int]:
+    """Greedy-by-size offsets for buffers live on ``[starts[i], ends[i])``.
 
-    Buffers are allocated as flat 1-D arrays of the bucket size and handed
-    out as reshaped views of a prefix, so one bucket serves every shape
-    that rounds up to it.  ``release`` finds the owning flat buffer by
-    walking the view's ``base`` chain — callers hand back exactly the
-    array ``acquire`` returned (or a reshape of it).
+    Buffers are placed largest first (ties by birth); each goes into the
+    smallest address gap, among the already-placed buffers whose lifetimes
+    overlap its own, that holds it — or above them all.  Sizes must be
+    multiples of :data:`ALIGN`, which keeps every offset aligned.  Returns
+    ``(offsets, extent)``; zero-size buffers get offset 0.
+    """
+    order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], starts[i]))
+    offsets = [0] * len(sizes)
+    placed: list[tuple[int, int, int, int]] = []  # (offset, end, start, death)
+    extent = 0
+    for i in order:
+        size, lo, hi = sizes[i], starts[i], ends[i]
+        if size == 0:
+            continue
+        busy = sorted((o, e) for o, e, s, d in placed if s < hi and lo < d)
+        best, best_gap, top = None, None, 0
+        for o, e in busy:
+            gap = o - top
+            if gap >= size and (best_gap is None or gap < best_gap):
+                best, best_gap = top, gap
+            top = max(top, e)
+        off = top if best is None else best
+        offsets[i] = off
+        placed.append((off, off + size, lo, hi))
+        extent = max(extent, off + size)
+    return offsets, extent
+
+
+@dataclass(frozen=True)
+class PlannedBuffer:
+    """One buffer of a plan: its request, lifetime and slab placement.
+
+    ``start`` is the buffer's index in the pass's request stream and
+    ``end`` the request count when it was freed (the pass length if it was
+    still alive when the pass ended); it is live on ``[start, end)``.
+    """
+
+    owner: str
+    tag: str
+    shape: tuple
+    dtype: str
+    start: int
+    end: int
+    offset: int
+    nbytes: int
+
+
+def _owner_name(owner) -> str:
+    return getattr(owner, "name", "") or type(owner).__name__
+
+
+class MemoryPlan:
+    """One recorded pass: its requests, their lifetimes and packed offsets.
+
+    ``peak_bytes`` is the most bytes live at once (aligned sizes);
+    ``pool_bytes`` is the packed slab extent the pass needs, which is at
+    least ``peak_bytes``.  A :class:`MemoryContext` keeps one plan per key
+    and replays it; :meth:`build` predicts one without touching the model.
+    """
+
+    def __init__(self, requests: list, ends: list, batch_size: int, training: bool):
+        self.requests = requests  # (owner, tag, shape, dtype) in request order
+        self.batch_size = int(batch_size)
+        self.training = bool(training)
+        self.starts = list(range(len(requests)))
+        self.ends = ends
+        self.sizes = [
+            aligned(int(np.prod(shape)) * np.dtype(dt).itemsize)
+            for _, _, shape, dt in requests
+        ]
+        self.offsets, self.pool_bytes = pack(self.sizes, self.starts, ends)
+        live = [0] * (len(requests) + 1)
+        for size, lo, hi in zip(self.sizes, self.starts, ends):
+            live[lo] += size
+            live[hi] -= size
+        peak = run = 0
+        for delta in live:
+            run += delta
+            peak = max(peak, run)
+        self.peak_bytes = peak
+        self._buffer = None  # the slab the views below were cut from
+        self._views: list = []
+
+    def views(self, buffer: np.ndarray) -> list:
+        """The plan's buffers as views of ``buffer`` (cached per slab)."""
+        if self._buffer is not buffer:
+            self._views = [
+                buffer[off : off + size].view(dt)[: int(np.prod(shape))].reshape(shape)
+                if size else np.empty(shape, dt)
+                for (_, _, shape, dt), off, size in zip(self.requests, self.offsets, self.sizes)
+            ]
+            self._buffer = buffer
+        return self._views
+
+    @classmethod
+    def build(cls, model, input_shape, batch_size, loss=None, training=True) -> "MemoryPlan":
+        """Record one pass of ``model`` on zeros and return its plan.
+
+        Runs a deep copy of ``model`` (and ``loss``), so the caller's
+        model, its bound context, hooks and statistics are untouched.
+        ``input_shape`` is per-example (channels-first, no batch dim), the
+        same convention as ``Module.output_shape``.  A training pass runs
+        forward, the loss (or a zero gradient when ``loss`` is ``None``)
+        and backward; an evaluation pass runs forward only.
+        """
+        model, loss = _detached_copy(model, loss)
+        ctx = MemoryContext()
+        model.bind_memory(ctx)
+        if loss is not None:
+            loss.bind_memory(ctx)
+        if training:
+            model.train()
+        else:
+            model.eval()
+        x = np.zeros((int(batch_size), *tuple(input_shape)))
+        with np.errstate(all="ignore"):
+            out = model.forward(x)
+            if training:
+                if loss is not None:
+                    loss.forward(out, np.zeros(len(out), dtype=np.int64))
+                    grad = loss.backward()
+                else:
+                    grad = np.zeros(out.shape)
+                model.backward(grad)
+        ctx.close()
+        (plan,) = ctx.plans.values()
+        return plan
+
+    def at_batch(self, other: "MemoryPlan", batch_size: int) -> "MemoryPlan":
+        """This plan extrapolated to ``batch_size`` through ``other``, a
+        recording of the same pass at another batch size.
+
+        Every buffer dimension is affine in the batch, and the lifetimes do
+        not depend on it while each layer takes the same code path, so the
+        result is the plan a recording at ``batch_size`` makes — without
+        running the model.  A layer whose code path changes with the batch
+        (``Conv2D`` picks its backward GEMM by problem size) changes the
+        buffers, which only a recording at that batch sees.  Raises
+        ``ValueError`` when the two plans are not the same pass.
+        """
+        b0, db = self.batch_size, other.batch_size - self.batch_size
+        if (db == 0 or self.ends != other.ends or self.training != other.training
+                or len(self.requests) != len(other.requests)):
+            raise ValueError("extrapolation needs the same pass recorded at two batch sizes")
+        requests = []
+        for (owner, tag, s0, dt), (owner1, tag1, s1, dt1) in zip(self.requests, other.requests):
+            steps = [divmod(d1 - d0, db) for d0, d1 in zip(s0, s1)]
+            if ((_owner_name(owner), tag, dt) != (_owner_name(owner1), tag1, dt1)
+                    or len(s0) != len(s1) or any(rem for _, rem in steps)):
+                raise ValueError(f"{_owner_name(owner)}.{tag} is not the same buffer in both "
+                                 f"passes ({s0} vs {tuple(s1)})")
+            shape = tuple(d0 + step * (batch_size - b0) for d0, (step, _) in zip(s0, steps))
+            requests.append((owner, tag, shape, dt))
+        return MemoryPlan(requests, list(self.ends), batch_size, self.training)
+
+    @property
+    def num_buffers(self) -> int:
+        return len(self.requests)
+
+    @property
+    def buffers(self) -> list[PlannedBuffer]:
+        return [
+            PlannedBuffer(_owner_name(owner), tag, tuple(shape), np.dtype(dt).name,
+                          lo, hi, off, size)
+            for (owner, tag, shape, dt), lo, hi, off, size in zip(
+                self.requests, self.starts, self.ends, self.offsets, self.sizes)
+        ]
+
+    def table(self, top: int | None = None) -> str:
+        """Human-readable plan: buffers sorted by size."""
+        rows = sorted(self.buffers, key=lambda b: -b.nbytes)
+        if top is not None:
+            rows = rows[:top]
+        lines = [
+            f"{'owner':<36}{'tag':<10}{'shape':<22}{'bytes':>12}{'offset':>12}{'live':>12}"
+        ]
+        for b in rows:
+            lines.append(
+                f"{b.owner:<36}{b.tag:<10}{str(b.shape):<22}"
+                f"{b.nbytes:>12}{b.offset:>12}{f'[{b.start},{b.end})':>12}"
+            )
+        lines.append(
+            f"slab {self.pool_bytes} B for a live peak of {self.peak_bytes} B "
+            f"({self.num_buffers} buffers)"
+        )
+        return "\n".join(lines)
+
+
+def _detached_copy(model, loss):
+    """Deep copies of ``model``/``loss`` sharing no context, comm or hook."""
+    memo: dict = {}
+    mods = list(model.modules()) + ([loss] if loss is not None else [])
+    for m in mods:
+        for attr in ("_memory", "comm"):
+            obj = vars(m).get(attr)
+            if obj is not None:
+                memo[id(obj)] = None
+    model = copy.deepcopy(model, memo)
+    loss = copy.deepcopy(loss, memo)
+    for m in model.modules():
+        for attr in ("forward", "backward", "_grad_ready_hook"):
+            vars(m).pop(attr, None)  # per-instance wrappers (hooks, profilers)
+    return model, loss
+
+
+class Slab:
+    """A context's one buffer and its accounting counters.
+
+    ``bytes_allocated`` is cumulative: every slab (re)allocation plus the
+    fresh buffers recording passes hand out.  ``pool_bytes`` is the slab's
+    size, ``peak_bytes`` the largest live peak of any plan, and
+    ``acquires`` counts buffer requests served.
     """
 
     def __init__(self) -> None:
-        self._free: dict[tuple[np.dtype, int], list] = {}
-        # id(flat root) -> [flat, (dtype, bucket), in_use, {shape: view}]
-        self._owned: dict[int, list] = {}
-        # id(handed-out view) -> the same record.  Views are cached on the
-        # record for the buffer's lifetime, so their ids stay unique and
-        # ``release`` resolves them with one dict hit instead of a base walk.
-        self._recs: dict[int, list] = {}
-        self.bytes_allocated = 0  # cumulative, fresh allocations only
-        self.pool_bytes = 0  # total owned by the arena
-        self.in_use_bytes = 0
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self.bytes_allocated = 0
+        self.pool_bytes = 0
         self.peak_bytes = 0
         self.acquires = 0
-        self.releases = 0
-        self.allocations = 0
-        self._color = 0
-        # (shape, dtype) -> (freelist key, element count): steady state
-        # re-requests the same few signatures every step
-        self._sig: dict = {}
 
-    # -- override points shared with the dry-run arena ------------------------
-    def _new_flat(self, dt: np.dtype, bucket: int):
-        # Big buckets get a page-plus-line color offset; small ones stay
-        # within a page, where one cache line of stagger is enough.
-        stride = _COLOR_STRIDE_BYTES if bucket >= 65536 else 64
-        off = self._color * stride // dt.itemsize
-        self._color = (self._color + 1) % _COLOR_CYCLE
-        base = np.empty(off + bucket // dt.itemsize, dtype=dt)
-        return base[off:]
-
-    def _view(self, flat, shape: tuple, n: int):
-        return flat[:n].reshape(shape)
-
-    def _root_of(self, arr):
-        base = arr
-        while getattr(base, "base", None) is not None:
-            base = base.base
-        return base
-
-    def _on_alloc(self, bucket: int) -> None:
-        _counter("nn.bytes_allocated").inc(bucket)
+    def fit(self, plan: MemoryPlan) -> None:
+        """Grow the slab (never shrink it) to hold ``plan``."""
+        self.peak_bytes = max(self.peak_bytes, plan.peak_bytes)
+        if plan.pool_bytes > self.pool_bytes:
+            raw = np.empty(plan.pool_bytes + ALIGN, dtype=np.uint8)
+            lead = -raw.ctypes.data % ALIGN
+            self.buffer = raw[lead : lead + plan.pool_bytes]
+            self.pool_bytes = plan.pool_bytes
+            self.allocated(plan.pool_bytes)
         _gauge("nn.peak_arena_bytes").set(float(self.peak_bytes))
 
-    # -- allocation interface --------------------------------------------------
-    def acquire(self, shape, dtype=np.float64):
-        """A writable, uninitialised array of ``shape``/``dtype``."""
-        sig = self._sig.get((shape, dtype)) if type(shape) is tuple else None
-        if sig is None:
-            shape = tuple(int(s) for s in shape)
-            dt = np.dtype(dtype)
-            n = 1
-            for s in shape:
-                n *= s
-            if n == 0:
-                # zero-size arrays (empty shards) cost nothing; don't pool them
-                return np.empty(shape, dtype=dt)
-            key = (dt, bucket_nbytes(n * dt.itemsize))
-            sig = (key, n)
-            self._sig[(shape, dtype)] = sig
-        key, n = sig
-        bucket = key[1]
-        self.acquires += 1
-        free = self._free.get(key)
-        if free:
-            rec = free.pop()
-            rec[2] = True
-            self.in_use_bytes += bucket
-            if self.in_use_bytes > self.peak_bytes:
-                self.peak_bytes = self.in_use_bytes
-            view = rec[3].get(shape)
-            if view is None:
-                view = self._view(rec[0], shape, n)
-                rec[3][shape] = view
-                self._recs[id(view)] = rec
-            return view
-        flat = self._new_flat(key[0], bucket)
-        view = self._view(flat, shape, n)
-        rec = [flat, key, True, {shape: view}]
-        self._recs[id(view)] = rec
-        self._owned[id(self._root_of(flat))] = rec
-        self.allocations += 1
-        self.bytes_allocated += bucket
-        self.pool_bytes += bucket
-        self.in_use_bytes += bucket
-        if self.in_use_bytes > self.peak_bytes:
-            self.peak_bytes = self.in_use_bytes
-        self._on_alloc(bucket)
-        return view
-
-    def release(self, arr) -> None:
-        """Return an acquired array's buffer to its freelist."""
-        if getattr(arr, "size", 1) == 0:
-            return
-        rec = self._recs.get(id(arr))
-        if rec is None:
-            # reshaped handle: resolve through the view's base chain
-            rec = self._owned.get(id(self._root_of(arr)))
-            if rec is None:
-                raise ValueError("array was not acquired from this arena")
-        if not rec[2]:
-            raise ValueError("double release of an arena buffer")
-        rec[2] = False
-        key = rec[1]
-        # the record keeps rec[0] (the color-offset flat view, not the root
-        # allocation), so reacquisitions keep the original coloring offset
-        self._free.setdefault(key, []).append(rec)
-        self.releases += 1
-        self.in_use_bytes -= key[1]
+    def allocated(self, nbytes: int) -> None:
+        self.bytes_allocated += nbytes
+        _counter("nn.bytes_allocated").inc(nbytes)
 
     def stats(self) -> dict:
         """Snapshot of the accounting counters (plain ints)."""
         return {
             "bytes_allocated": self.bytes_allocated,
             "pool_bytes": self.pool_bytes,
-            "in_use_bytes": self.in_use_bytes,
             "peak_bytes": self.peak_bytes,
             "acquires": self.acquires,
-            "releases": self.releases,
-            "allocations": self.allocations,
         }
 
 
-class _PhantomFlat:
-    """Stand-in for a flat buffer in the dry-run arena (no memory)."""
-
-    __slots__ = ()
-    base = None
-
-
-class _PhantomView:
-    """Stand-in for an acquired view; remembers its flat owner."""
-
-    __slots__ = ("base", "size")
-
-    def __init__(self, flat: _PhantomFlat, size: int):
-        self.base = flat
-        self.size = size
-
-
-class _DryArena(Arena):
-    """Arena that performs the full bucket accounting without allocating.
-
-    :class:`MemoryPlan` replays a model's buffer request stream through
-    this class, so predicted byte counts use *the same code* as the live
-    arena — the predictor cannot drift from the measurement.
-    """
-
-    def _new_flat(self, dt, bucket):
-        return _PhantomFlat()
-
-    def _view(self, flat, shape, n):
-        return _PhantomView(flat, n)
-
-    def _on_alloc(self, bucket):
-        pass  # planning must not touch the live metrics registry
-
-
 class MemoryContext:
-    """Binds modules to an :class:`Arena` (see ``Module.bind_memory``).
+    """Serves bound modules' buffer requests (see ``Module.bind_memory``).
 
-    ``slot`` returns the persistent buffer for ``(owner, tag, shape,
-    dtype)``, acquiring it on first request; slots are never recycled
-    while the context lives, so a slot's contents survive from the moment
-    a layer writes it until the layer's backward consumes it, with no
-    aliasing analysis required.  ``scratch``/``release`` wrap the arena
-    for strictly call-scoped temporaries.
+    ``root`` is the module whose ``forward`` starts each pass (set by
+    ``bind_memory``); ``plans`` maps each pass key — ``(shape, dtype,
+    training)`` of the root's input — to its :class:`MemoryPlan`; ``arena``
+    is the :class:`Slab` every plan is replayed from.
     """
 
-    def __init__(self, arena: Arena | None = None):
-        self.arena = arena if arena is not None else Arena()
-        self._slots: dict = {}
+    def __init__(self) -> None:
+        self.arena = Slab()
+        self.plans: dict[tuple, MemoryPlan] = {}
+        self.root = None
+        self._open = False
+        self._plan: MemoryPlan | None = None  # replaying, or None: recording
+        self._views: list = []
+        self._n = 0  # requests served in the current pass
+        self._rec = None  # (key, requests, deaths, weakrefs) while recording
 
-    def slot(self, owner, tag: str, shape, dtype=np.float64):
-        key = (id(owner), tag, tuple(shape), np.dtype(dtype))
-        buf = self._slots.get(key)
-        if buf is None:
-            buf = self.arena.acquire(shape, dtype)
-            self._slots[key] = buf
-        return buf
+    def request(self, owner, tag: str, shape, dtype) -> np.ndarray:
+        """The next buffer of the pass: a slab view, or a fresh array."""
+        if not self._open:
+            raise RuntimeError(
+                f"buffer request {_owner_name(owner)}.{tag} outside a pass: a pass "
+                "starts when the module the context is bound to runs forward")
+        i = self._n
+        self._n = i + 1
+        self.arena.acquires += 1
+        plan = self._plan
+        if plan is None:
+            return self._record(owner, tag, shape, dtype)
+        if i < len(self._views) and plan.requests[i] == (owner, tag, shape, dtype):
+            return self._views[i]
+        want = (f"{_owner_name(plan.requests[i][0])}.{plan.requests[i][1]} "
+                f"{plan.requests[i][2]}" if i < len(self._views) else "the end of the pass")
+        raise RuntimeError(
+            f"request {i} of a replayed pass is {_owner_name(owner)}.{tag} "
+            f"{tuple(shape)} {np.dtype(dtype).name}; the recorded pass had {want}")
 
-    def scratch(self, shape, dtype=np.float64):
-        return self.arena.acquire(shape, dtype)
+    def begin(self, shape, dtype, training: bool) -> None:
+        """Start a pass on a root input of ``shape``/``dtype``: the previous
+        pass closes, and the new one replays the key's plan or records it."""
+        self.close()
+        key = (tuple(shape), np.dtype(dtype).str, bool(training))
+        plan = self.plans.get(key)
+        self._plan = plan
+        if plan is None:
+            self._rec = (key, [], [], [])
+        else:
+            self._views = plan.views(self.arena.buffer)
+        self._n = 0
+        self._open = True
 
-    def release(self, buf) -> None:
-        self.arena.release(buf)
+    def _record(self, owner, tag, shape, dtype) -> np.ndarray:
+        _, requests, deaths, refs = self._rec
+        arr = np.empty(shape, dtype=dtype)
+        i = len(requests)
+        requests.append((owner, tag, shape, dtype))
+        deaths.append(None)
+
+        def died(_, i=i):
+            deaths[i] = self._n
+
+        refs.append(weakref.ref(arr, died))
+        self.arena.allocated(arr.nbytes)
+        return arr
 
     def close(self) -> None:
-        """Release every slot back to the arena (the pool stays warm)."""
-        for buf in self._slots.values():
-            self.arena.release(buf)
-        self._slots.clear()
+        """Close the current pass: a recording is packed into a plan now.
+
+        The slab and every plan stay, so the next pass at a known key
+        replays without allocating.
+        """
+        rec = self._rec
+        self._rec = None
+        if rec is not None and rec[1]:  # a pass that requested nothing needs no plan
+            key, requests, deaths, refs = rec
+            refs.clear()  # later frees no longer matter
+            n = len(requests)
+            plan = MemoryPlan(requests, [n if d is None else d for d in deaths],
+                              key[0][0] if key[0] else 0, key[2])
+            self.plans[key] = plan
+            self.arena.fit(plan)
+        self._plan = None
+        self._views = []
+        self._open = False
 
     @property
     def bytes_allocated(self) -> int:
         return self.arena.bytes_allocated
-
-    @property
-    def peak_bytes(self) -> int:
-        return self.arena.peak_bytes
-
-
-# ---------------------------------------------------------------------------
-# Static planning
-# ---------------------------------------------------------------------------
-
-_F64 = np.dtype(np.float64)
-_BOOL = np.dtype(np.bool_)
-_INTP = np.dtype(np.intp)
-
-# events: ("slot", tag, shape, dtype) / ("scratch", tag, shape, dtype) /
-#         ("free", tag) — tags are unique per owner within one call
-
-
-@dataclass(frozen=True)
-class PlannedBuffer:
-    """One planned arena request with its liveness interval.
-
-    ``tick`` counts layer-calls in execution order (forward calls first,
-    then backward calls in reverse).  Slots stay live from their first
-    write to the owner's backward (``end``); scratch lives inside one
-    call (``end == start``).
-    """
-
-    owner: str
-    tag: str
-    kind: str  # "slot" | "scratch"
-    shape: tuple
-    dtype: str
-    phase: str  # "forward" | "backward"
-    start: int
-    end: int
-
-    @property
-    def nbytes(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n * np.dtype(self.dtype).itemsize
-
-    @property
-    def bucket(self) -> int:
-        return bucket_nbytes(self.nbytes)
-
-
-def _prod(shape) -> int:
-    n = 1
-    for s in shape:
-        n *= s
-    return n
-
-
-# -- per-layer buffer rules ---------------------------------------------------
-#
-# Each rule mirrors, request for request and in source order, what the
-# layer's code asks of the MemoryContext.  tests pin the mirror: the
-# plan's dry-run peak must equal the live arena's measured peak, so a rule
-# that forgets a request fails the predictor test.
-
-
-def _rule_relu(layer, shp, training):
-    fwd = [("slot", "mask", shp, _BOOL), ("slot", "y", shp, _F64)]
-    bwd = [("slot", "dx", shp, _F64)]
-    return shp, fwd, bwd
-
-
-def _rule_sigmoid(layer, shp, training):
-    fwd = [
-        ("slot", "pos", shp, _BOOL),
-        ("slot", "neg", shp, _BOOL),
-        ("scratch", "t", shp, _F64),
-        ("slot", "y", shp, _F64),
-        ("scratch", "u", shp, _F64),
-        ("free", "u"),
-        ("free", "t"),
-    ]
-    bwd = [
-        ("slot", "dx", shp, _F64),
-        ("scratch", "t", shp, _F64),
-        ("free", "t"),
-    ]
-    return shp, fwd, bwd
-
-
-def _rule_tanh(layer, shp, training):
-    fwd = [("slot", "y", shp, _F64)]
-    bwd = [
-        ("scratch", "t", shp, _F64),
-        ("slot", "dx", shp, _F64),
-        ("free", "t"),
-    ]
-    return shp, fwd, bwd
-
-
-def _rule_dense(layer, shp, training):
-    n = shp[0]
-    out_shp = (n, layer.out_features)
-    fwd = [("slot", "y", out_shp, _F64)]
-    bwd = [
-        ("scratch", "dw", (layer.in_features, layer.out_features), _F64),
-        ("free", "dw"),
-    ]
-    if layer.bias is not None:
-        bwd += [("scratch", "db", (layer.out_features,), _F64), ("free", "db")]
-    bwd.append(("slot", "dx", shp, _F64))
-    return out_shp, fwd, bwd
-
-
-def _rule_conv(layer, shp, training):
-    from .layers.conv import _BATCHED_MATMUL_MAX_MACS, conv_output_hw
-
-    n, c, h, w = shp
-    k, s, p, g = layer.kernel_size, layer.stride, layer.padding, layer.groups
-    cg = c // g
-    og = layer.out_channels // g
-    oh, ow = conv_output_hw(h, w, k, k, s, p)
-    span = oh * ow
-    pointwise = layer._is_pointwise()
-    ckk = cg if pointwise else cg * k * k
-    fwd = []
-    if pointwise:
-        if s != 1:
-            fwd.append(("slot", "xs", (n, c, oh, ow), _F64))
-    else:
-        fwd.append(("slot", "cols", (n, c * k * k, span), _F64))
-        if p > 0:
-            fwd.append(("slot", "xpad", (n, c, h + 2 * p, w + 2 * p), _F64))
-    fwd.append(("slot", "y", (n, layer.out_channels, oh, ow), _F64))
-    out_shp = (n, layer.out_channels, oh, ow)
-
-    bwd = [
-        ("scratch", "dw", (g, og, ckk), _F64),
-        ("slot", "dcols", (n, g, ckk, span), _F64),
-    ]
-    if n * g * og * ckk * span <= _BATCHED_MATMUL_MAX_MACS:
-        bwd += [
-            ("scratch", "t1", (g, og, n, span), _F64),
-            ("scratch", "t2", (g, n, span, ckk), _F64),
-            ("free", "t2"),
-            ("free", "t1"),
-        ]
-    bwd.append(("free", "dw"))
-    if layer.bias is not None:
-        bwd += [("scratch", "db", (layer.out_channels,), _F64), ("free", "db")]
-    if pointwise:
-        if s != 1:
-            bwd.append(("slot", "dx", shp, _F64))
-    elif p > 0 and s < k:
-        bwd.append(("slot", "dx", shp, _F64))
-    else:
-        bwd.append(("slot", "dx_pad", (n, c, h + 2 * p, w + 2 * p), _F64))
-        if p > 0:
-            bwd.append(("slot", "dx", shp, _F64))
-    return out_shp, fwd, bwd
-
-
-def _rule_maxpool(layer, shp, training):
-    from .layers.conv import conv_output_hw
-
-    n, c, h, w = shp
-    k, s, p = layer.kernel_size, layer.stride, layer.padding
-    hp, wp = h + 2 * p, w + 2 * p
-    oh, ow = conv_output_hw(h, w, k, k, s, p)
-    span = oh * ow
-    fwd = []
-    if p > 0:
-        fwd.append(("slot", "xpad", (n, c, hp, wp), _F64))
-    fwd += [
-        ("slot", "cols", (n * c, k * k, span), _F64),
-        ("slot", "argmax", (n, c, span), _INTP),
-        ("slot", "y", (n, c, oh, ow), _F64),
-    ]
-    if p > 0 and s < k:
-        bwd = [
-            ("scratch", "dcols", (n, c, k * k, span), _F64),
-            ("slot", "dx", shp, _F64),
-            ("free", "dcols"),
-        ]
-    else:
-        bwd = [
-            ("scratch", "dcols", (n, c, k * k, span), _F64),
-            ("slot", "dx_pad", (n * c, 1, hp, wp), _F64),
-            ("free", "dcols"),
-        ]
-        if p > 0:
-            bwd.append(("slot", "dx", shp, _F64))
-    return (n, c, oh, ow), fwd, bwd
-
-
-def _rule_avgpool(layer, shp, training):
-    from .layers.conv import conv_output_hw
-
-    n, c, h, w = shp
-    k, s, p = layer.kernel_size, layer.stride, layer.padding
-    hp, wp = h + 2 * p, w + 2 * p
-    oh, ow = conv_output_hw(h, w, k, k, s, p)
-    span = oh * ow
-    fwd = []
-    if p > 0:
-        fwd.append(("slot", "xpad", (n, c, hp, wp), _F64))
-    fwd += [
-        ("slot", "cols", (n * c, k * k, span), _F64),
-        ("slot", "y", (n, c, oh, ow), _F64),
-    ]
-    bwd = [
-        ("scratch", "go", (n * c, 1, span), _F64),
-        ("scratch", "dcols", (n * c, k * k, span), _F64),
-        ("free", "go"),
-    ]
-    if p > 0 and s < k:
-        bwd += [("slot", "dx", shp, _F64), ("free", "dcols")]
-    else:
-        bwd.append(("slot", "dx_pad", (n * c, 1, hp, wp), _F64))
-        bwd.append(("free", "dcols"))
-        if p > 0:
-            bwd.append(("slot", "dx", shp, _F64))
-    return (n, c, oh, ow), fwd, bwd
-
-
-def _rule_gap(layer, shp, training):
-    n, c = shp[0], shp[1]
-    fwd = [("slot", "y", (n, c), _F64)]
-    bwd = [("slot", "dx", shp, _F64)]
-    return (n, c), fwd, bwd
-
-
-def _rule_flatten(layer, shp, training):
-    return (shp[0], _prod(shp[1:])), [], []
-
-
-def _rule_batchnorm(layer, shp, training):
-    fwd = [("slot", "xhat", shp, _F64), ("slot", "y", shp, _F64)]
-    bwd = [
-        ("scratch", "t", shp, _F64),
-        ("scratch", "dxh", shp, _F64),
-        ("slot", "dx", shp, _F64),
-        ("free", "dxh"),
-        ("free", "t"),
-    ]
-    return shp, fwd, bwd
-
-
-def _rule_dropout(layer, shp, training):
-    if not training or layer.p == 0.0:
-        return shp, [], []
-    fwd = [
-        ("slot", "mask", shp, _F64),
-        ("slot", "sel", shp, _BOOL),
-        ("slot", "y", shp, _F64),
-    ]
-    bwd = [("slot", "dx", shp, _F64)]
-    return shp, fwd, bwd
-
-
-def _window_sum_events(shp, prefix):
-    n, c = shp[0], shp[1]
-    csum_shp = (n, c + 1, *shp[2:])
-    return [
-        ("scratch", f"{prefix}csum", csum_shp, _F64),
-        ("scratch", f"{prefix}th", shp, _F64),
-        ("scratch", f"{prefix}tl", shp, _F64),
-        ("free", f"{prefix}tl"),
-        ("free", f"{prefix}th"),
-        ("free", f"{prefix}csum"),
-    ]
-
-
-def _rule_lrn(layer, shp, training):
-    fwd = (
-        [
-            ("scratch", "sq", shp, _F64),
-            ("scratch", "ssum", shp, _F64),
-        ]
-        + _window_sum_events(shp, "f")
-        + [
-            ("free", "sq"),
-            ("slot", "denom", shp, _F64),
-            ("free", "ssum"),
-            ("scratch", "t", shp, _F64),
-            ("slot", "y", shp, _F64),
-            ("free", "t"),
-        ]
-    )
-    bwd = (
-        [
-            ("scratch", "dpow", shp, _F64),
-            ("scratch", "t", shp, _F64),
-            ("scratch", "tsum", shp, _F64),
-        ]
-        + _window_sum_events(shp, "b")
-        + [
-            ("free", "t"),
-            ("slot", "dx", shp, _F64),
-            ("free", "dpow"),
-            ("scratch", "t2", shp, _F64),
-            ("free", "tsum"),
-            ("free", "t2"),
-        ]
-    )
-    return shp, fwd, bwd
-
-
-def _fusion_input_conv(mod, shp):
-    """The Conv2D whose padded-input slot absorbs ``mod``'s input.
-
-    Static mirror of the live ``Module.input_slot`` delegation chain: a
-    Sequential hands its first layer's slot out, a Residual its branch's,
-    and a non-pointwise padded Conv2D owns one.  Returns ``None`` when no
-    fusion applies (mirroring ``input_slot`` returning ``None``).
-    """
-    from .layers.base import Sequential
-    from .layers.conv import Conv2D
-    from .layers.residual import Residual
-
-    if isinstance(mod, Sequential):
-        return _fusion_input_conv(mod.layers[0], shp) if mod.layers else None
-    if isinstance(mod, Residual):
-        return _fusion_input_conv(mod.branch, shp)
-    if (
-        isinstance(mod, Conv2D)
-        and len(shp) == 4
-        and mod.padding > 0
-        and not mod._is_pointwise()
-        and shp[1] == mod.in_channels
-    ):
-        return mod
-    return None
-
-
-def _loss_events(n, k):
-    fwd = [
-        ("slot", "logp", (n, k), _F64),
-        ("scratch", "t", (n, k), _F64),
-        ("free", "t"),
-    ]
-    bwd = [
-        ("scratch", "probs", (n, k), _F64),
-        ("scratch", "td", (n, k), _F64),
-        ("slot", "dlogits", (n, k), _F64),
-        ("free", "td"),
-        ("free", "probs"),
-    ]
-    return fwd, bwd
-
-
-def _layer_rules():
-    from .layers.activations import ReLU, Sigmoid, Tanh
-    from .layers.conv import Conv2D
-    from .layers.dense import Dense
-    from .layers.dropout import Dropout
-    from .layers.norm import BatchNorm, LocalResponseNorm, SyncBatchNorm
-    from .layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
-    from .layers.reshape import Flatten
-
-    return {
-        ReLU: _rule_relu,
-        Sigmoid: _rule_sigmoid,
-        Tanh: _rule_tanh,
-        Dense: _rule_dense,
-        Conv2D: _rule_conv,
-        MaxPool2D: _rule_maxpool,
-        AvgPool2D: _rule_avgpool,
-        GlobalAvgPool2D: _rule_gap,
-        Flatten: _rule_flatten,
-        BatchNorm: _rule_batchnorm,
-        SyncBatchNorm: _rule_batchnorm,
-        Dropout: _rule_dropout,
-        LocalResponseNorm: _rule_lrn,
-    }
-
-
-@dataclass
-class MemoryPlan:
-    """Static activation/grad memory plan for one training-step shape.
-
-    Built once per ``(model, batch_size)``; ``peak_bytes`` etc. come from
-    replaying the planned request stream through a dry-run arena with the
-    real bucket accounting, so they are exact predictions of what a live
-    :class:`Arena` reports after a planned step — the invariant
-    ``tests/perfmodel/test_memory_predictor.py`` pins.
-    """
-
-    input_shape: tuple
-    batch_size: int
-    buffers: list[PlannedBuffer] = field(default_factory=list)
-    peak_bytes: int = 0
-    pool_bytes: int = 0
-    slot_bytes: int = 0
-    scratch_bucket_bytes: int = 0
-    n_ticks: int = 0
-
-    @classmethod
-    def build(cls, model, input_shape, batch_size, loss=None, training=True):
-        """Shape-infer ``model`` (and optionally its loss) into a plan.
-
-        ``input_shape`` is per-example (channels-first, no batch dim), the
-        same convention as ``Module.output_shape``.
-        """
-        from .layers.base import Sequential
-        from .layers.branch import ConcatBranches
-        from .layers.residual import Residual
-
-        rules = _layer_rules()
-        shp = (int(batch_size), *tuple(input_shape))
-        fwd_stream: list = []  # (owner, event)
-        anon = [0]
-        names: dict[int, str] = {}
-
-        def owner_name(mod):
-            nm = names.get(id(mod))
-            if nm is None:
-                if getattr(mod, "name", ""):
-                    nm = mod.name
-                else:
-                    anon[0] += 1
-                    nm = f"{type(mod).__name__}#{anon[0]}"
-                names[id(mod)] = nm
-            return nm
-
-        def walk(mod, shp, fused=False):
-            """Emit forward events; return (out_shape, backward events).
-
-            ``fused`` marks a producer whose output goes straight into a
-            successor conv's padded-input slot (the live ``Sequential``
-            fusion): its ``y`` slot request is elided, exactly as the
-            layer code skips ``_buf("y", ...)`` when handed ``out=``.
-            """
-            if isinstance(mod, Sequential):
-                bwds = []
-                layers = mod.layers
-                last = len(layers) - 1
-                for i, layer in enumerate(layers):
-                    child_fused = False
-                    if i < last and layer._fusion_source:
-                        nshp = (shp[0], *layer.output_shape(tuple(shp[1:])))
-                        conv = _fusion_input_conv(layers[i + 1], nshp)
-                        if conv is not None:
-                            # the successor's padded slot is acquired by
-                            # input_slot() before the producer runs
-                            n, c, h, w = nshp
-                            p = conv.padding
-                            fwd_stream.append(
-                                (
-                                    owner_name(conv),
-                                    ("slot", "xpad", (n, c, h + 2 * p, w + 2 * p), _F64),
-                                )
-                            )
-                            child_fused = True
-                    shp, b = walk(layer, shp, child_fused)
-                    bwds.append(b)
-                return shp, [e for b in reversed(bwds) for e in b]
-            if isinstance(mod, Residual):
-                name = owner_name(mod)
-                out_shp, b_branch = walk(mod.branch, shp)
-                b_short = []
-                if mod.shortcut is not None:
-                    _, b_short = walk(mod.shortcut, shp)
-                tags = [("pre", _F64), ("mask", _BOOL)]
-                if not fused:
-                    tags.append(("y", _F64))
-                for tag, dt in tags:
-                    fwd_stream.append((name, ("slot", tag, out_shp, dt)))
-                bwd = [(name, ("slot", "dpre", out_shp, _F64))]
-                bwd += b_branch + b_short
-                # the input gradient is summed in place into the branch's
-                # own gradient buffer — no extra slot
-                return out_shp, bwd
-            if isinstance(mod, ConcatBranches):
-                name = owner_name(mod)
-                outs, branch_bwds = [], []
-                for br in mod.branches:
-                    o, b = walk(br, shp)
-                    outs.append(o)
-                    branch_bwds.append(b)
-                n = shp[0]
-                channels = sum(o[1] for o in outs)
-                out_shp = (n, channels, *outs[0][2:])
-                fwd_stream.append((name, ("slot", "y", out_shp, _F64)))
-                bwd = []
-                for i, (o, b) in enumerate(zip(outs, branch_bwds)):
-                    bwd.append((name, ("slot", f"g{i}", o, _F64)))
-                    bwd += b
-                    if i == 0:
-                        bwd.append((name, ("slot", "dx", shp, _F64)))
-                return out_shp, bwd
-            rule = rules.get(type(mod))
-            if rule is None:
-                raise ValueError(
-                    f"no memory rule for layer type {type(mod).__name__}; "
-                    "add one to repro.nn.memory to plan this model"
-                )
-            name = owner_name(mod)
-            out_shp, fwd, bwd = rule(mod, shp, training)
-            if fused:
-                fwd = [e for e in fwd if e[:2] != ("slot", "y")]
-            fwd_stream.extend((name, e) for e in fwd)
-            return out_shp, [(name, e) for e in bwd]
-
-        out_shp, bwd_stream = walk(model, shp)
-        if loss is not None:
-            if len(out_shp) != 2:
-                raise ValueError(
-                    f"loss expects (batch, classes) logits, model produces {out_shp}"
-                )
-            lf, lb = _loss_events(out_shp[0], out_shp[1])
-            fwd_stream.extend(("loss", e) for e in lf)
-            bwd_stream = [("loss", e) for e in lb] + bwd_stream
-
-        return cls._simulate(fwd_stream, bwd_stream, tuple(input_shape), batch_size)
-
-    @classmethod
-    def _simulate(cls, fwd_stream, bwd_stream, input_shape, batch_size):
-        dry = _DryArena()
-        buffers: list[PlannedBuffer] = []
-        slot_index: dict = {}  # slot key -> index into buffers
-        tick = [0]
-
-        def run(stream, phase):
-            live: dict = {}  # (owner, tag) -> (handle, buffer index)
-            last_owner = [None]
-            for owner, event in stream:
-                if owner != last_owner[0]:
-                    tick[0] += 1
-                    last_owner[0] = owner
-                kind = event[0]
-                if kind == "free":
-                    handle, idx = live.pop((owner, event[1]))
-                    dry.release(handle)
-                    b = buffers[idx]
-                    buffers[idx] = PlannedBuffer(
-                        b.owner, b.tag, b.kind, b.shape, b.dtype, b.phase,
-                        b.start, tick[0],
-                    )
-                    continue
-                _, tag, shape, dt = event
-                if kind == "slot":
-                    key = (owner, tag, tuple(shape), dt)
-                    if key in slot_index:
-                        continue
-                    dry.acquire(shape, dt)
-                    slot_index[key] = len(buffers)
-                    buffers.append(
-                        PlannedBuffer(owner, tag, "slot", tuple(shape), dt.name,
-                                      phase, tick[0], -1)
-                    )
-                else:
-                    handle = dry.acquire(shape, dt)
-                    live[(owner, tag)] = (handle, len(buffers))
-                    buffers.append(
-                        PlannedBuffer(owner, tag, "scratch", tuple(shape), dt.name,
-                                      phase, tick[0], tick[0])
-                    )
-            if live:
-                leaked = sorted(f"{o}.{t}" for o, t in live)
-                raise RuntimeError(f"plan leaked scratch buffers: {leaked}")
-
-        run(fwd_stream, "forward")
-        run(bwd_stream, "backward")
-
-        def replay(stream):
-            live = {}
-            for owner, event in stream:
-                kind = event[0]
-                if kind == "free":
-                    dry.release(live.pop((owner, event[1])))
-                elif kind == "scratch":
-                    live[(owner, event[1])] = dry.acquire(event[2], event[3])
-                # slots already held
-
-        # A freed scratch bucket can be claimed by a later slot, so the pool
-        # may still grow on the second step; replay until it stops.  The
-        # demand profile is deterministic, so one extra pass after the slots
-        # are all held reaches the fixed point — assert rather than assume.
-        replay(fwd_stream)
-        replay(bwd_stream)
-        allocs_second = dry.allocations
-        replay(fwd_stream)
-        replay(bwd_stream)
-        if dry.allocations != allocs_second:
-            raise RuntimeError("memory plan did not reach steady state (internal error)")
-
-        slot_bytes = sum(
-            bucket_nbytes(b.nbytes) for b in buffers if b.kind == "slot"
-        )
-        plan = cls(
-            input_shape=tuple(input_shape),
-            batch_size=int(batch_size),
-            buffers=buffers,
-            peak_bytes=dry.peak_bytes,
-            pool_bytes=dry.pool_bytes,
-            slot_bytes=slot_bytes,
-            scratch_bucket_bytes=dry.pool_bytes - slot_bytes,
-            n_ticks=tick[0],
-        )
-        return plan
-
-    @property
-    def num_slots(self) -> int:
-        return sum(1 for b in self.buffers if b.kind == "slot")
-
-    def table(self, top: int | None = None) -> str:
-        """Human-readable plan: buffers sorted by bucket size."""
-        rows = sorted(self.buffers, key=lambda b: -b.bucket)
-        if top is not None:
-            rows = rows[:top]
-        lines = [
-            f"{'owner':<36}{'tag':<10}{'kind':<9}{'shape':<22}"
-            f"{'bytes':>12}{'live':>12}"
-        ]
-        for b in rows:
-            live = f"[{b.start},{'∞' if b.end < 0 else b.end}]"
-            lines.append(
-                f"{b.owner:<36}{b.tag:<10}{b.kind:<9}{str(b.shape):<22}"
-                f"{b.bucket:>12}{live:>12}"
-            )
-        lines.append(
-            f"peak {self.peak_bytes} B = slots {self.slot_bytes} B "
-            f"+ scratch {self.scratch_bucket_bytes} B "
-            f"({self.num_slots} slots, {self.n_ticks} ticks)"
-        )
-        return "\n".join(lines)
 
 
 def plan_training_step(model, input_shape, batch_size, loss=None) -> MemoryPlan:

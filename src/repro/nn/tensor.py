@@ -6,7 +6,7 @@ accumulates gradients into ``Parameter.grad``.  There is no autograd tape —
 backprop is hand-derived per layer and verified by finite-difference checks
 in ``repro.nn.gradcheck``.  Each layer has a single forward/backward code
 path; only where its activation and scratch buffers come from varies
-(fresh arrays, or arena slots once a ``repro.nn.MemoryContext`` is bound).
+(fresh arrays, or slab views once a ``repro.nn.MemoryContext`` is bound).
 
 Gradients accumulate (``+=``) rather than overwrite so a parameter that is
 shared between layers, or a batch that is processed in several micro-batch

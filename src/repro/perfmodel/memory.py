@@ -1,17 +1,17 @@
-"""Closed-form activation-memory model for a training step.
+"""Activation-memory model for a training step.
 
-Predicts the peak arena footprint of a planned (``static_memory=True``)
-forward+backward step *without running the model*: the
-:class:`repro.nn.MemoryPlan` shape-infers the layer graph, replays the
-per-layer buffer request stream through a dry-run arena with the live
-arena's exact bucket arithmetic, and reads off the byte counters.  Because
-both sides share the bucket math by construction, the prediction is pinned
-to the measured peak (``tests/perfmodel/test_memory_predictor.py`` holds it
-to <5%; in practice the match is exact).
+Predicts the static-memory (``static_memory=True``) footprint of one
+forward+backward step: :meth:`repro.nn.MemoryPlan.build` records one pass
+of a deep copy of the model on zeros — the same recording a live
+:class:`repro.nn.MemoryContext` makes on its first step — and packs the
+recorded buffer lifetimes into slab offsets.  Prediction and measurement
+are one code path, so the predicted bytes are the measured bytes
+(``tests/perfmodel/test_memory_predictor.py`` holds them equal).
 
 The model answers the capacity-planning questions behind Figure 3's OOM
 wall: how activation bytes scale with batch size, and the largest batch a
-device's memory admits for a given model.
+device's memory admits for a given model once buffers share bytes by
+liveness.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ __all__ = ["MemoryEstimate", "predict_activation_bytes", "sweep_batch_sizes", "m
 
 @dataclass(frozen=True)
 class MemoryEstimate:
-    """Predicted steady-state arena footprint of one training step."""
+    """Predicted static-memory footprint of one training step."""
 
     batch_size: int
-    peak_bytes: int  #: high-water mark of live bucket bytes inside a step
-    pool_bytes: int  #: bytes the arena retains between steps (slots + warm freelists)
-    slot_bytes: int  #: persistent per-layer slots (activations, grads, masks)
-    scratch_bucket_bytes: int  #: freelist capacity the call-scoped temporaries need
-    num_slots: int
+    peak_bytes: int  #: most bytes live at once inside the step
+    pool_bytes: int  #: packed slab the step needs (>= peak_bytes)
+    num_buffers: int  #: buffer requests per step
 
     @property
     def bytes_per_example(self) -> float:
@@ -47,15 +45,17 @@ def predict_activation_bytes(
     batch_size: int,
     loss: SoftmaxCrossEntropy | None = None,
 ) -> MemoryEstimate:
-    """Closed-form peak/pool bytes for a planned training step."""
+    """Live peak and packed slab bytes of a static-memory training step.
+
+    Records one real step at ``batch_size`` on a copy of the model, so it
+    allocates about that step's live bytes and costs a step's time.
+    """
     plan = MemoryPlan.build(model, input_shape, batch_size, loss=loss)
     return MemoryEstimate(
         batch_size=int(batch_size),
         peak_bytes=plan.peak_bytes,
         pool_bytes=plan.pool_bytes,
-        slot_bytes=plan.slot_bytes,
-        scratch_bucket_bytes=plan.scratch_bucket_bytes,
-        num_slots=plan.num_slots,
+        num_buffers=plan.num_buffers,
     )
 
 
@@ -65,11 +65,7 @@ def sweep_batch_sizes(
     batch_sizes,
     loss_factory=SoftmaxCrossEntropy,
 ) -> list[MemoryEstimate]:
-    """Footprint-vs-batch-size curve (the memory analogue of Figure 3).
-
-    ``model_builder`` is called once per batch size so layer caches never
-    leak between plans.
-    """
+    """Footprint-vs-batch-size curve (the memory analogue of Figure 3)."""
     return [
         predict_activation_bytes(
             model_builder(), input_shape, b, loss=loss_factory() if loss_factory else None
@@ -85,18 +81,46 @@ def max_batch_size(
     loss_factory=SoftmaxCrossEntropy,
     limit: int = 1 << 20,
 ) -> int:
-    """Largest batch whose planned step fits in ``memory_bytes`` (0 if none).
+    """Largest batch whose packed slab fits in ``memory_bytes`` (0 if none).
 
-    Peak bytes grow monotonically with batch size (every planned buffer's
-    leading dimension is the batch), so binary search applies.
+    Every buffer's size grows with the batch, so the slab does too and a
+    doubling-then-bisection search applies.  Its probes are extrapolated
+    (:meth:`MemoryPlan.at_batch`) from two recordings — first at batches 1
+    and 2 — so the search itself runs no large step.  The answer ``b`` is
+    then checked by recording real steps at ``b`` and ``b + 1``, which
+    allocates about ``memory_bytes`` of host memory.  A layer whose code
+    path changes with the batch (``Conv2D``'s backward GEMM choice) makes
+    small batches mispredict large ones; the check catches that, and the
+    search reruns extrapolating from the two recordings it just made.  The
+    result always satisfies "``b`` fits and ``b + 1`` does not".
     """
+    recorded: dict[int, MemoryPlan] = {}
+
+    def record(b: int) -> MemoryPlan:
+        if b not in recorded:
+            recorded[b] = MemoryPlan.build(
+                model_builder(), input_shape, b, loss=loss_factory() if loss_factory else None)
+        return recorded[b]
 
     def fits(b: int) -> bool:
-        est = predict_activation_bytes(
-            model_builder(), input_shape, b, loss=loss_factory() if loss_factory else None
-        )
-        return est.pool_bytes <= memory_bytes
+        return record(b).pool_bytes <= memory_bytes
 
+    b = 1
+    for _ in range(4):
+        lo, hi = record(b), record(b + 1)
+        try:
+            b = _largest(lambda b: lo.at_batch(hi, b).pool_bytes <= memory_bytes, limit)
+        except ValueError:  # b and b + 1 take different code paths
+            break
+        if (b == 0 or fits(b)) and not fits(b + 1):
+            return b
+        if b == 0:
+            break
+    return _largest(fits, limit)
+
+
+def _largest(fits, limit: int) -> int:
+    """Largest ``b <= limit`` with ``fits(b)``, for a monotone ``fits``."""
     if not fits(1):
         return 0
     lo, hi = 1, 2

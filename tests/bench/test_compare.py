@@ -139,6 +139,18 @@ def test_cli_run_quick_writes_schema_valid_files(tmp_path, capsys):
     }
 
 
+def test_cli_run_memory_replay_row(tmp_path, capsys):
+    # The replay row drives a MemoryContext by hand: it must open its own
+    # passes, or every request raises.
+    from repro.bench.schema import load_payload
+
+    rc = main(["bench", "run", "--quick", "--out-dir", str(tmp_path),
+               "--areas", "memory", "--filter", "context.*"])
+    assert rc == 0
+    payload = load_payload(str(tmp_path / "BENCH_memory.json"))
+    assert set(payload["results"]) == {"context.replay"}
+
+
 def test_cli_run_no_match_exits_nonzero(tmp_path, capsys):
     rc = main(["bench", "run", "--quick", "--out-dir", str(tmp_path),
                "--filter", "no.such.benchmark"])

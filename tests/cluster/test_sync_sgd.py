@@ -228,3 +228,20 @@ class TestStaticMemory:
         ref_state, _ = serial_reference(sgd_builder)
         planned = self.static_run(2)
         assert max_param_diff(ref_state, planned.final_state) < 1e-9
+
+    def test_evaluation_counts_each_batch_before_the_next_overwrites_it(self):
+        # Rank 0 evaluates in batches of 512; under static memory every
+        # batch's logits reuse the same slab bytes, so the accuracy must be
+        # counted batch by batch, not over logits kept across batches.
+        rng = np.random.default_rng(3)
+        y_test = rng.integers(0, 3, size=1024)
+        x_test = _CENTRES[y_test] + rng.normal(size=(1024, 8)) * 0.5
+        accs = []
+        for static in (False, True):
+            config = SyncSGDConfig(world=2, epochs=2, batch_size=32,
+                                   shuffle_seed=SEED, static_memory=static)
+            res = train_sync_sgd(model_builder, sgd_builder, ConstantLR(0.1),
+                                 _X, _Y, x_test, y_test, config)
+            accs.append([h.test_accuracy for h in res.history])
+        assert accs[1] == accs[0]
+        assert accs[0][-1] > 0.9

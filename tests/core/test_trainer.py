@@ -161,6 +161,48 @@ def test_static_memory_steady_state_allocates_nothing():
     assert trainer.arena_stats()["bytes_allocated"] == before
 
 
+def _allocated_per_epoch(trainer, fit):
+    seen = []
+    fit(lambda record: seen.append(trainer.arena_stats()["bytes_allocated"]))
+    return seen
+
+
+def test_static_memory_pool_is_flat_over_fit_with_shape_churn():
+    # 100 examples at batch 32 leave a short batch of 4; 300 test examples
+    # are evaluated as 256 + 44: four step shapes, all met in epoch 1.
+    x, y = toy_problem(n=100)
+    xt, yt = toy_problem(n=300, seed=1)
+    trainer = make_static_trainer()
+    seen = _allocated_per_epoch(trainer, lambda cb: trainer.fit(
+        x, y, xt, yt, epochs=3, batch_size=32, callback=cb))
+    assert seen[0] == seen[2] > 0
+    assert len(trainer.memory.plans) == 4
+    assert trainer.arena_stats()["pool_bytes"] == max(
+        p.pool_bytes for p in trainer.memory.plans.values())
+
+
+def test_static_memory_pool_is_flat_over_batch_schedule():
+    # Epoch batches 64, 32, 64 over 96 examples: shapes 64 + 32, then 3 x 32.
+    x, y = toy_problem(n=96)
+    trainer = make_static_trainer()
+    schedule = [64, 32, 64]
+    seen = _allocated_per_epoch(trainer, lambda cb: trainer.fit_with_batch_schedule(
+        x, y, x, y, epochs=3, batch_schedule=schedule.__getitem__, callback=cb))
+    assert seen[0] == seen[2] > 0
+
+
+def test_backward_after_eval_forward_raises():
+    # An inference forward keeps no backward state, so a backward after it
+    # fails loudly instead of reading slab bytes the pass recycled.
+    x, _ = toy_problem()
+    model = make_static_trainer().model
+    model.forward(x[:8])  # training forward: caches set
+    model.eval()
+    out = model.forward(x[:8])
+    with pytest.raises(RuntimeError, match="before forward"):
+        model.backward(np.ones_like(out))
+
+
 def test_arena_stats_none_when_eager():
     assert make_trainer().arena_stats() is None
     stats = make_static_trainer().arena_stats()

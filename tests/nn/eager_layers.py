@@ -1,8 +1,8 @@
 """Eager reference layers: the bitwise oracle for ``repro.nn``'s layer code.
 
 Every ``repro.nn`` layer has a single forward/backward that writes into
-buffers from ``Module._buf``/``_scratch`` (fresh arrays, or arena slots
-under a bound ``MemoryContext``).  The classes here keep the textbook
+buffers from ``Module._buf`` (fresh arrays, or slab views under a bound
+``MemoryContext``).  The classes here keep the textbook
 allocating formulas those layers are checked against: each twin subclasses
 its production layer and overrides only the arithmetic, so shapes, flops,
 parameters and caches stay shared.  ``Conv2D``'s twin is the general route

@@ -249,3 +249,16 @@ def test_conv2d_backward_workspace_reuse_is_stable():
         dx_ref = b.backward(grad)
         np.testing.assert_array_equal(a.backward(grad, out=buf), dx_ref)
         np.testing.assert_array_equal(a.weight.grad, b.weight.grad)
+
+
+def test_conv2d_holds_padded_input_only_after_a_training_forward():
+    # Unbound, a training forward keeps its padded input until the next
+    # forward (a steady heap top between steps); an inference forward keeps
+    # nothing, so its large evaluation buffers all go back to the allocator.
+    conv = Conv2D(3, 4, 3, stride=1, padding=1, rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(2, 3, 6, 6))
+    conv.forward(x)
+    assert conv._held is not None and conv._held.shape == (2, 3, 8, 8)
+    conv.eval()
+    conv.forward(np.concatenate([x, x]))
+    assert conv._held is None

@@ -1,23 +1,26 @@
 """Bitwise eager-vs-planned parity across the model registry.
 
-The static-memory mode (persistent arena slots threaded through ``out=``)
-must change *nothing* numerically — every comparison here is exact array
-equality over multiple optimiser steps, which catches both arithmetic
-drift (a reordered reduction) and state leaks (a stale buffer read).
+The static-memory mode (slab views threaded through ``out=``) must change
+*nothing* numerically — every comparison here is exact array equality over
+multiple optimiser steps, which catches both arithmetic drift (a reordered
+reduction) and state leaks (a stale buffer read).  The shape-churn run
+fills the slab with NaN before every pass, so a buffer read before its
+pass wrote it cannot hide.
 
 Two more invariants ride along:
 
-* **zero steady state** — once slots exist (after the first step; the
-  second is allowed to add backward-only buffers), further steps perform
-  zero fresh arena allocations;
-* **exact peak prediction** — :func:`plan_training_step` replays the same
-  request stream through a dry-run arena, so its ``peak_bytes`` equals the
-  live arena's high-water mark to the byte.
+* **zero steady state** — after the first step records its buffers and
+  the second packs them into the slab, further steps perform zero fresh
+  allocations;
+* **exact peak prediction** — :func:`plan_training_step` records the same
+  pass on a copy of the model, so its ``peak_bytes`` and ``pool_bytes``
+  equal the live context's to the byte.
 """
 
 import numpy as np
 import pytest
 
+from repro.nn import Dense, Dropout, ReLU, Sequential
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.memory import MemoryContext, plan_training_step
 from repro.nn.models import build_model
@@ -111,6 +114,83 @@ def test_plan_peak_matches_live_arena_exactly(name, kwargs, in_shape, batch):
                               loss=SoftmaxCrossEntropy(label_smoothing=0.1))
     assert plan.peak_bytes == mem.arena.peak_bytes
     assert plan.pool_bytes == mem.arena.pool_bytes
+
+
+#: (batch, training) of each pass: train, short final batch, evaluation,
+#: then the same shapes again — every shape is recorded once and replayed
+CHURN = [(8, True), (5, True), (16, False), (8, True), (5, True), (16, False), (8, True)]
+
+
+def _head_first(head):
+    """A small MLP whose first layer is ``head``: a layer that requests a
+    buffer in training but not (Dropout) or a different one (ReLU) in
+    inference, so a pass's first request depends on the mode."""
+
+    def build():
+        rng = np.random.default_rng(3)
+        return Sequential(head(), Dense(32, 24, rng=rng), ReLU(), Dense(24, 10, rng=rng))
+
+    return build
+
+
+#: the registry models, plus models whose first request differs by mode
+CHURN_CONFIGS = CONFIGS + [
+    pytest.param(_head_first(lambda: Dropout(0.5, rng=np.random.default_rng(5))), {},
+                 (32,), 8, id="dropout-first"),
+    pytest.param(_head_first(ReLU), {}, (32,), 8, id="relu-first"),
+]
+
+
+def _churn(name, kwargs, in_shape, poison):
+    """Run the CHURN passes; with ``poison``, bind a context and fill its
+    whole slab with NaN before every pass."""
+    model = name() if callable(name) else build_model(name, **kwargs)
+    loss = SoftmaxCrossEntropy(label_smoothing=0.1)
+    mem = None
+    if poison:
+        mem = MemoryContext()
+        model.bind_memory(mem)
+        loss.bind_memory(mem)
+    ncls = kwargs.get("num_classes", 10)
+    rng = np.random.default_rng(7)
+    records = []
+    for batch, training in CHURN:
+        x = rng.standard_normal((batch, *in_shape))
+        y = rng.integers(0, ncls, size=batch)
+        model.train() if training else model.eval()
+        if mem is not None:
+            mem.close()  # pack any recording now, so the poison reaches it
+            mem.arena.buffer.view(np.float64)[:] = np.nan
+        logits = model.forward(x)
+        if not training:
+            records.append(logits.copy())
+            continue
+        model.zero_grad()
+        loss_val = loss.forward(logits, y)
+        model.backward(loss.backward())
+        records.append((loss_val, logits.copy(), [p.grad.copy() for p in model.parameters()]))
+        for p in model.parameters():
+            p.data -= 0.01 * p.grad
+    records.append([p.data.copy() for p in model.parameters()])
+    return records, mem
+
+
+@pytest.mark.parametrize("name,kwargs,in_shape,batch", CHURN_CONFIGS)
+def test_shape_churn_on_poisoned_slab_is_bitwise_identical(name, kwargs, in_shape, batch):
+    # Every replayed pass starts from a slab full of NaN, so a buffer read
+    # before this pass wrote it (a border, a mask, a stale cache) shows up.
+    unbound, _ = _churn(name, kwargs, in_shape, poison=False)
+    bound, mem = _churn(name, kwargs, in_shape, poison=True)
+    for t, (want, got) in enumerate(zip(unbound, bound, strict=True)):
+        for a, b in zip(_flat(want), _flat(got), strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f"pass {t}"
+    assert len(mem.plans) == 3  # one per (batch, mode): recorded once, replayed after
+
+
+def _flat(record):
+    if isinstance(record, (tuple, list)):
+        return [leaf for item in record for leaf in _flat(item)]
+    return [record]
 
 
 def test_close_then_rebind_is_still_bitwise_stable():
