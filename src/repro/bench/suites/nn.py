@@ -1,10 +1,11 @@
 """Benchmarks for the training hot path: im2col/col2im, Conv2D, proxy steps.
 
-These cover exactly the kernels the PR-2 optimisations touched, so the
-baseline files catch any future drift: the im2col workspace copy, the
-col2im non-overlapping scatter, the 1×1 im2col-free route, and the
-end-to-end proxy train steps whose wall-clock the paper's E·n/B iteration
-count multiplies.
+These cover the conv kernels, so the baseline files catch any future
+drift: the im2col workspace copy, the col2im non-overlapping scatter, the
+phase-plane clipped scatter every overlapping-window backward takes (at
+stride 1 and at an even stride-2 downsample), the 1×1 im2col-free route,
+and the end-to-end proxy train steps whose wall-clock the paper's E·n/B
+iteration count multiplies.
 """
 
 from __future__ import annotations
@@ -54,6 +55,33 @@ def _col2im_overlapping():
     x = _input(c=8)
     cols, _ = im2col(x, 3, 3, 1, 1)
     return lambda: col2im(cols, x.shape, 3, 3, 1, 1)
+
+
+def _clipped_scatter(stride):
+    from repro.nn.layers.conv import col2im_clipped, im2col
+
+    x = _input(c=8)
+    cols, _ = im2col(x, 3, 3, stride, 1)
+    out = np.empty_like(x)
+    return lambda: col2im_clipped(cols, x.shape, 3, 3, stride, 1, out=out)
+
+
+@register(
+    "col2im_clipped.k3s1p1",
+    area="nn",
+    params={"batch": _BATCH, "channels": 8, "image": _IMAGE, "kernel": 3, "stride": 1, "pad": 1},
+)
+def _col2im_clipped_same():
+    return _clipped_scatter(1)
+
+
+@register(
+    "col2im_clipped.k3s2p1",
+    area="nn",
+    params={"batch": _BATCH, "channels": 8, "image": _IMAGE, "kernel": 3, "stride": 2, "pad": 1},
+)
+def _col2im_clipped_downsample():
+    return _clipped_scatter(2)
 
 
 @register(

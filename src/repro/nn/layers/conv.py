@@ -14,9 +14,14 @@ in ``tests/nn/test_conv_parity.py``):
 * :func:`im2col_view` exposes the zero-copy strided patch view; the public
   :func:`im2col` materialises it into a caller-supplied ``out=`` buffer
   (a slab view when a memory context is bound).
-* :func:`col2im` takes a single vectorised scatter when the windows cannot
-  overlap (``stride >= kernel``) and falls back to the per-offset
-  slice-add loop otherwise.
+* :func:`window_grad` is every window op's input gradient.  Overlapping
+  windows (``stride < kernel``, any padding) go through
+  :func:`col2im_clipped`, which scatters straight into the unpadded
+  ``dx``: when the windows tile the image (``H == stride*OH``, as in
+  every "same" stride-1 conv and every even downsample) as contiguous
+  shifted adds on ``stride**2`` phase planes, otherwise as strided
+  slice-adds.  Non-overlapping windows take :func:`col2im`'s single
+  vectorised assignment.
 * :class:`Conv2D` skips ``im2col``/``col2im`` entirely for 1×1 kernels
   (bottleneck and shortcut convolutions are plain strided GEMMs), drives
   the GEMMs through ``np.matmul`` for small problems and through
@@ -41,6 +46,7 @@ __all__ = [
     "col2im_clipped",
     "conv_output_hw",
     "fill_border",
+    "window_grad",
 ]
 
 # Backward-GEMM strategy crossover (total MACs): below this, batched
@@ -129,6 +135,10 @@ def im2col(
     return out, (oh, ow)
 
 
+def _empty(tag: str, shape, dtype) -> np.ndarray:
+    return np.empty(shape, dtype=dtype)
+
+
 def col2im_clipped(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -137,32 +147,120 @@ def col2im_clipped(
     stride: int,
     pad: int,
     out: np.ndarray,
+    buf=_empty,
 ) -> np.ndarray:
     """Scatter-add columns straight into an *unpadded* image buffer.
 
     Equivalent to ``col2im(...)`` followed by dropping the padding border,
-    but never materialises the padded canvas: each kernel offset's slice is
-    clipped to the image interior, so the border terms the padded version
-    would discard are simply never written.  Per pixel the surviving
-    contributions arrive in the same ``(i, j)`` offset order as the canvas
-    version, so the accumulated values are bitwise identical.
+    but never materialises the padded canvas: terms that would land in the
+    border are never written.  Per pixel the surviving contributions
+    arrive in the same ``(i, j)`` offset order, each added to an
+    accumulator that starts at ``+0.0``, so the values are bitwise
+    identical to the canvas version.
+
+    When the windows tile the image (``H == stride*OH`` and
+    ``W == stride*OW``: every "same" stride-1 window and every even
+    downsample) the image splits into ``stride**2`` phase planes of shape
+    ``(OH, OW)``, and kernel offset ``(i, j)`` lands in a single plane,
+    shifted by whole rows and columns.  A shifted offset's slice is copied
+    into a contiguous ``(N, C, OH, OW)`` run, the rows and columns that
+    leave the plane are zeroed, and the run is added to the plane as one
+    shifted 1-D slice: the zeroed entries wrap onto other pixels as
+    ``+0.0``, which an accumulator that is never ``-0.0`` ignores.  At
+    stride 1 the plane is ``out`` itself; otherwise the planes live in an
+    ``(s, s, N, C, OH, OW)`` canvas that ``s**2`` strided copies
+    interleave into ``out``.  Other geometries take one strided
+    slice-add per offset.  ``buf(tag, shape, dtype)`` supplies the
+    scratch arrays (a layer passes its ``Module._buf``).
     """
     n, c, h, w = x_shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
-    out[...] = 0.0
     cols6 = cols.reshape(n, c, kh, kw, oh, ow)
+    s = stride
+    if h == s * oh and w == s * ow:
+        direct = s == 1 and out.flags.c_contiguous
+        if direct:
+            planes = out.reshape(1, 1, n, c, oh, ow)
+        else:
+            planes = buf("c2i_planes", (s, s, n, c, oh, ow), out.dtype)
+        planes[...] = 0.0
+        run = buf("c2i_run", (n, c, oh, ow), np.result_type(cols.dtype, out.dtype))
+        flat = run.reshape(-1)
+        size = flat.size
+        flat_planes = planes.reshape(s, s, size)
+        for i in range(kh):
+            d, a = divmod(i - pad, s)  # input row s*(o + d) + a for output row o
+            if abs(d) >= oh:
+                continue
+            for j in range(kw):
+                e, b = divmod(j - pad, s)
+                if abs(e) >= ow:
+                    continue
+                if d == e == 0:  # unshifted: nothing leaves the plane
+                    planes[a, b] += cols6[:, :, i, j]
+                    continue
+                np.copyto(run, cols6[:, :, i, j])
+                if d > 0:
+                    run[:, :, oh - d :] = 0.0
+                elif d < 0:
+                    run[:, :, :-d] = 0.0
+                if e > 0:
+                    run[:, :, :, ow - e :] = 0.0
+                elif e < 0:
+                    run[:, :, :, :-e] = 0.0
+                shift = d * ow + e
+                if shift > 0:
+                    flat_planes[a, b, shift:] += flat[:-shift]
+                else:
+                    flat_planes[a, b, :shift] += flat[-shift:]
+        if not direct:
+            for a in range(s):
+                for b in range(s):
+                    out[:, :, a::s, b::s] = planes[a, b]
+        return out
+    out[...] = 0.0
     for i in range(kh):
         o_lo = -(-max(pad - i, 0) // stride)
         o_hi = min((h - 1 - i + pad) // stride, oh - 1)
+        if o_hi < o_lo:  # the offset's rows all fall in the padding
+            continue
         r0 = i + stride * o_lo - pad
         rows = slice(r0, r0 + stride * (o_hi - o_lo) + 1, stride)
         for j in range(kw):
             q_lo = -(-max(pad - j, 0) // stride)
             q_hi = min((w - 1 - j + pad) // stride, ow - 1)
+            if q_hi < q_lo:
+                continue
             c0 = j + stride * q_lo - pad
             out[:, :, rows, c0 : c0 + stride * (q_hi - q_lo) + 1 : stride] += cols6[
                 :, :, i, j, o_lo : o_hi + 1, q_lo : q_hi + 1
             ]
+    return out
+
+
+def window_grad(
+    cols: np.ndarray,
+    x_shape: tuple[int, int, int, int],
+    k: int,
+    stride: int,
+    pad: int,
+    out: np.ndarray,
+    buf=_empty,
+) -> np.ndarray:
+    """Input gradient of a square-window op (convolution, pooling) into ``out``.
+
+    Overlapping windows (``stride < k``) scatter through
+    :func:`col2im_clipped`; non-overlapping ones take :func:`col2im`'s
+    single strided assignment, straight into ``out`` when unpadded and
+    otherwise onto a padded ``buf`` canvas whose interior is copied out.
+    """
+    if stride < k:
+        return col2im_clipped(cols, x_shape, k, k, stride, pad, out=out, buf=buf)
+    if pad == 0:
+        return col2im(cols, x_shape, k, k, stride, 0, out=out)
+    n, c, h, w = x_shape
+    canvas = buf("dx_pad", (n, c, h + 2 * pad, w + 2 * pad), cols.dtype)
+    np.copyto(out, col2im(cols, x_shape, k, k, stride, pad, out=canvas))
     return out
 
 
@@ -421,24 +519,5 @@ class Conv2D(Module):
             dx[:, :, ::s, ::s] = dcols.reshape(n, self.in_channels, oh, ow)
             return dx
         dcols = dcols.reshape(n, self.in_channels * k * k, span)
-        if p > 0 and s < k:
-            # Overlapping windows: scatter-add the clipped slices straight
-            # into the contiguous dx buffer — no padded canvas, no interior
-            # copy afterwards (values bitwise unchanged).
-            dx = out if out is not None else self._buf("dx", x_shape, np.float64)
-            return col2im_clipped(dcols, x_shape, k, k, s, p, out=dx)
-        pad_buf = self._buf(
-            "dx_pad", (n, self.in_channels, x_shape[2] + 2 * p, x_shape[3] + 2 * p),
-            np.float64,
-        )
-        dxv = col2im(dcols, x_shape, k, k, s, p, out=pad_buf)
-        if p > 0:
-            # Launder the padded interior view into a contiguous buffer so
-            # downstream reshapes stay allocation-free (values unchanged).
-            dx = out if out is not None else self._buf("dx", x_shape, np.float64)
-            np.copyto(dx, dxv)
-            return dx
-        if out is not None:
-            np.copyto(out, dxv)
-            return out
-        return dxv
+        dx = out if out is not None else self._buf("dx", x_shape, np.float64)
+        return window_grad(dcols, x_shape, k, s, p, out=dx, buf=self._buf)

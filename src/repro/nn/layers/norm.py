@@ -41,6 +41,7 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
         self._cache: tuple | None = None
+        self._centred: np.ndarray | None = None  # x - mean, from _batch_stats
 
     def output_shape(self, input_shape: Shape) -> Shape:
         if input_shape[0] != self.num_features:
@@ -67,25 +68,49 @@ class BatchNorm(Module):
         inv_std: np.ndarray,
         out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply ``gamma * (x - mean) * inv_std + beta``; returns ``(y, xhat)``."""
+        """Apply ``gamma * (x - mean) * inv_std + beta``; returns ``(y, xhat)``.
+
+        ``xhat`` starts from the ``x - mean`` buffer the batch statistics
+        left in ``_centred``, if any.
+        """
         nd = x.ndim
         mean_e = self._expand(mean, nd)
         inv_e = self._expand(inv_std, nd)
         g_e = self._expand(self.gamma.data, nd)
         b_e = self._expand(self.beta.data, nd)
-        xhat = self._buf("xhat", x.shape, np.float64)
-        np.subtract(x, mean_e, out=xhat)
+        xhat, self._centred = self._centred, None
+        if xhat is None:
+            xhat = self._buf("xhat", x.shape, np.float64)
+            np.subtract(x, mean_e, out=xhat)
         xhat *= inv_e
         y = out if out is not None else self._buf("y", x.shape, np.float64)
         np.multiply(g_e, xhat, out=y)
         y += b_e
         return y, xhat
 
+    def _batch_stats(self, x: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+        """``x.mean(axes)`` and ``x.var(axes)``, bit for bit, taking the mean once.
+
+        The steps are numpy's own (sum, divide by the count; centre, square,
+        sum, divide), but the centred ``x - mean`` goes to the ``xhat``
+        buffer, where :meth:`_normalize` picks it up instead of centring
+        again, and the squares to a scratch buffer of ``x``'s dtype.
+        """
+        count = x.size // x.shape[1]
+        mean = np.add.reduce(x, axis=axes, keepdims=True)
+        np.true_divide(mean, count, out=mean)
+        self._centred = self._buf("xhat", x.shape, np.float64)
+        np.subtract(x, mean, out=self._centred)
+        sq = self._buf("sq", x.shape, x.dtype)
+        np.square(self._centred, out=sq)
+        var = np.add.reduce(sq, axis=axes)
+        np.true_divide(var, count, out=var)
+        return mean.reshape(var.shape), var
+
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         axes = self._reduce_axes(x.ndim)
         if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean, var = self._batch_stats(x, axes)
             m = self.momentum
             self.running_mean = m * self.running_mean + (1 - m) * mean
             self.running_var = m * self.running_var + (1 - m) * var

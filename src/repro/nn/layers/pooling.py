@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Module, Shape
-from .conv import col2im, col2im_clipped, conv_output_hw, fill_border, im2col
+from .conv import conv_output_hw, fill_border, im2col, window_grad
 
 __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
@@ -57,35 +57,18 @@ class MaxPool2D(Module):
             raise RuntimeError("backward called before forward")
         (n, c, h, w), argmax, (oh, ow) = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
-        hp, wp = h + 2 * p, w + 2 * p
         dcols = self._buf("dcols", (n, c, k * k, oh * ow), np.float64)
         dcols[...] = 0.0
         go = grad_out.reshape(n, c, 1, oh * ow)
         np.put_along_axis(dcols, argmax[:, :, None, :], go, axis=2)
         self._cache = None
         del argmax
-        if p > 0 and s < k:
-            dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
-            col2im_clipped(
-                dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, h, w), k, k, s, p,
-                out=dx.reshape(n * c, 1, h, w),
-            )
-            return dx
-        pad_buf = self._buf("dx_pad", (n * c, 1, hp, wp), np.float64)
-        dxv = col2im(
-            dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, hp, wp), k, k, s, 0,
-            out=pad_buf,
+        dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
+        window_grad(
+            dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, h, w), k, s, p,
+            out=dx.reshape(n * c, 1, h, w), buf=self._buf,
         )
-        del dcols
-        dxv = dxv.reshape(n, c, hp, wp)
-        if p > 0:
-            dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
-            np.copyto(dx, dxv[:, :, p:-p, p:-p])
-            return dx
-        if out is not None:
-            np.copyto(out, dxv)
-            return out
-        return dxv
+        return dx
 
 
 class AvgPool2D(Module):
@@ -137,24 +120,11 @@ class AvgPool2D(Module):
         dcols[...] = go
         del go
         self._x_shape = None
-        if p > 0 and s < k:
-            dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
-            col2im_clipped(
-                dcols, (n * c, 1, h, w), k, k, s, p, out=dx.reshape(n * c, 1, h, w)
-            )
-            return dx
-        hp, wp = h + 2 * p, w + 2 * p
-        pad_buf = self._buf("dx_pad", (n * c, 1, hp, wp), np.float64)
-        dxv = col2im(dcols, (n * c, 1, h, w), k, k, s, p, out=pad_buf)
-        del dcols
-        if p > 0:
-            dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
-            np.copyto(dx.reshape(n * c, 1, h, w), dxv)
-            return dx
-        if out is not None:
-            np.copyto(out, dxv.reshape(n, c, h, w))
-            return out
-        return dxv.reshape(n, c, h, w)
+        dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
+        window_grad(
+            dcols, (n * c, 1, h, w), k, s, p, out=dx.reshape(n * c, 1, h, w), buf=self._buf
+        )
+        return dx
 
 
 class GlobalAvgPool2D(Module):

@@ -1,7 +1,7 @@
 """Bitwise parity of the optimized conv kernels against the general route.
 
 The conv optimizations (``out=`` im2col, non-overlapping col2im branch,
-1×1 im2col-free route, clipped col2im scatter) must change *nothing*
+1×1 im2col-free route, phase-plane clipped col2im scatter) must change *nothing*
 numerically: every test here asserts exact array equality, not allclose.
 The reference for ``im2col``/``col2im`` is a deliberately dumb loop
 implementation local to this file; ``Conv2D`` is compared against its
@@ -11,9 +11,11 @@ takes the general im2col route for every kernel.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Conv2D
-from repro.nn.layers.conv import col2im, conv_output_hw, im2col, im2col_view
+from repro.nn.layers.conv import col2im, col2im_clipped, conv_output_hw, im2col, im2col_view
 
 from .eager_layers import eager_twin
 
@@ -190,22 +192,29 @@ def test_conv2d_batch_size_change_reallocates_workspace():
 
 
 CLIPPED_GEOMETRIES = [
-    # clipped scatter requires stride < kernel (otherwise the non-overlapping
-    # branch wins) and pad > 0 (otherwise plain col2im never pads)
-    (3, 1, 1),
-    (3, 2, 1),
-    (5, 1, 2),
-    (5, 2, 2),
-    (5, 3, 1),
+    # kernel, stride, pad, image size.  The layers route stride < kernel
+    # here; an image of stride * output size takes the phase-plane path,
+    # any other the strided slice-add loop.
+    (3, 1, 1, 9),
+    (3, 2, 1, 9),
+    (5, 1, 2, 9),
+    (5, 2, 2, 9),
+    (5, 3, 1, 9),
+    (3, 2, 1, 8),   # even images: stride-2 phase planes
+    (4, 2, 1, 8),
+    (5, 2, 2, 10),
+    (6, 3, 2, 9),   # stride-3 phase planes
 ]
 
 
-@pytest.mark.parametrize("kernel,stride,pad", CLIPPED_GEOMETRIES)
-def test_col2im_clipped_matches_padded_route(kernel, stride, pad):
-    from repro.nn.layers.conv import col2im_clipped
-
-    x_shape = (2, 3, 9, 9)
-    oh, ow = conv_output_hw(9, 9, kernel, kernel, stride, pad)
+@pytest.mark.parametrize(
+    "kernel,stride,pad,size",
+    CLIPPED_GEOMETRIES,
+    ids=[f"{k}-{s}-{p}" + ("" if n == 9 else f"-{n}x{n}") for k, s, p, n in CLIPPED_GEOMETRIES],
+)
+def test_col2im_clipped_matches_padded_route(kernel, stride, pad, size):
+    x_shape = (2, 3, size, size)
+    oh, ow = conv_output_hw(size, size, kernel, kernel, stride, pad)
     rng = np.random.default_rng(19)
     cols = rng.normal(size=(2, 3 * kernel * kernel, oh * ow))
     out = np.full(x_shape, np.nan)  # poison: must be fully written
@@ -213,6 +222,53 @@ def test_col2im_clipped_matches_padded_route(kernel, stride, pad):
     assert got is out
     ref = col2im(cols, x_shape, kernel, kernel, stride, pad)
     np.testing.assert_array_equal(got, ref)
+
+
+@st.composite
+def _scatter_cases(draw):
+    """``(n, c, h, w, k, stride, pad)``: windows that tile the image (the
+    phase-plane path) or any image size, padding up to ``k - 1`` (mostly
+    the loop, where a whole offset can fall in the padding)."""
+    s = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        p = draw(st.integers(0, 2))
+        k = draw(st.integers(2 * p + 1, 2 * p + s))  # so that h == s * oh
+        oh, ow = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        h, w = s * oh, s * ow
+        assert conv_output_hw(h, w, k, k, s, p) == (oh, ow)
+    else:
+        k = draw(st.integers(1, 5))
+        p = draw(st.integers(0, k - 1))
+        h, w = draw(st.integers(max(k - 2 * p, 1), 9)), draw(st.integers(max(k - 2 * p, 1), 9))
+    return draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w, k, s, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_scatter_cases(),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a 2x3 image in which whole kernel rows see only padding
+@example(case=(1, 1, 2, 3, 5, 2, 2), dtype=np.float64, seed=0)
+def test_col2im_clipped_property_bitwise(case, dtype, seed):
+    # Any geometry, signed zeros among the terms, NaN in every buffer the
+    # scatter is handed: the bytes must equal the per-offset reference.
+    n, c, h, w, k, s, p = case
+    oh, ow = conv_output_hw(h, w, k, k, s, p)
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(size=(n, c * k * k, oh * ow)).astype(dtype)
+    cols[rng.random(cols.shape) < 0.25] = -0.0
+    out = np.full((n, c, h, w), np.nan, dtype=dtype)
+
+    def poisoned(tag, shape, dt):
+        return np.full(shape, np.nan, dtype=dt)
+
+    got = col2im_clipped(cols, (n, c, h, w), k, k, s, p, out=out, buf=poisoned)
+    assert got is out
+    ref = reference_col2im(cols, (n, c, h, w), k, k, s, p)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 @pytest.mark.parametrize("in_c,out_c,kernel,stride,pad,groups", CONV_CASES)

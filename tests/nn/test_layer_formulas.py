@@ -54,6 +54,7 @@ CASES = {
     "dense": (lambda: Dense(12, 7, rng=_rng()), (12,), 4),
     "dense-nobias": (lambda: Dense(12, 7, bias=False, rng=_rng()), (12,), 4),
     "conv-3x3-pad": (lambda: _conv(3, 8, 3, padding=1), (3, 8, 8), 4),
+    "conv-3x3-nopad": (lambda: _conv(3, 8, 3), (3, 8, 8), 4),
     "conv-strided-grouped": (lambda: _conv(4, 8, 3, stride=2, padding=1, groups=2), (4, 8, 8), 4),
     "conv-5x5-nobias": (lambda: _conv(6, 12, 5, padding=2, groups=3, bias=False), (6, 8, 8), 4),
     "conv-1x1": (lambda: _conv(8, 8, 1), (8, 8, 8), 4),
@@ -67,6 +68,10 @@ CASES = {
     "avgpool": (lambda: AvgPool2D(2), (3, 8, 8), 4),
     "avgpool-overlap-pad": (lambda: AvgPool2D(3, stride=2, padding=1), (3, 9, 9), 4),
     "avgpool-nonoverlap-pad": (lambda: AvgPool2D(2, stride=2, padding=1), (3, 8, 8), 4),
+    # even images: the overlapping scatter's stride-2 / stride-1 phase planes
+    "maxpool-overlap-pad-even": (lambda: MaxPool2D(3, stride=2, padding=1), (3, 8, 8), 4),
+    "maxpool-same": (lambda: MaxPool2D(3, stride=1, padding=1), (3, 6, 6), 4),
+    "avgpool-overlap-pad-even": (lambda: AvgPool2D(3, stride=2, padding=1), (3, 8, 8), 4),
     "gap": (GlobalAvgPool2D, (5, 4, 4), 4),
     "batchnorm-2d": (lambda: BatchNorm(12), (12,), 6),
     "batchnorm-4d": (lambda: BatchNorm(3), (3, 5, 5), 4),

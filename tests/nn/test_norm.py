@@ -41,6 +41,23 @@ class TestBatchNorm:
         # with momentum 0 the running stats equal the batch stats
         assert np.allclose(y_eval.mean(axis=0), 0.0, atol=1e-2)
 
+    @pytest.mark.parametrize("shape", [(1, 3, 1, 1), (6, 4, 5, 5), (32, 8, 12, 12), (7, 16)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batch_statistics_equal_numpy_mean_var_bitwise(self, shape, dtype):
+        # The training forward computes its statistics in one pass each; they
+        # and the output must equal the x.mean / x.var formulas byte for byte.
+        x = (np.random.default_rng(5).normal(size=shape) * 3 + 1).astype(dtype)
+        axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        bn = BatchNorm(shape[1], momentum=0.0)  # running stats = batch stats
+        y = bn.forward(x)
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        assert bn.running_mean.tobytes() == (0.0 * np.zeros(shape[1]) + 1.0 * mean).tobytes()
+        assert bn.running_var.tobytes() == (0.0 * np.ones(shape[1]) + 1.0 * var).tobytes()
+        expand = (lambda v: v) if x.ndim == 2 else (lambda v: v[:, None, None])
+        # x - mean in x's dtype, normalised in the layer's float64
+        xhat = (x - expand(mean)).astype(np.float64) * expand(1.0 / np.sqrt(var + bn.eps))
+        assert y.tobytes() == (expand(bn.gamma.data) * xhat + expand(bn.beta.data)).tobytes()
+
     def test_running_stats_updated_only_in_training(self):
         bn = BatchNorm(3)
         rm = bn.running_mean.copy()
