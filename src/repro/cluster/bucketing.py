@@ -8,23 +8,30 @@ each bucket's allreduce launches the moment backward has produced its
 gradients, overlapping with the differentiation of the remaining (earlier)
 layers.
 
+This is the cluster's one allreduce-mode gradient exchange.  The
+monolithic exchange — one |W|-element allreduce per step — is the
+one-bucket plan, whose buffer is byte for byte the ``flatten_grads``
+vector.
+
 Two pieces:
 
 * :class:`BucketPlan` — a static partition of the model's parameters, in
   reverse ``parameters()`` order (the order backward finalises gradients),
   into ~``bucket_bytes`` buckets, each with a persistent flat float64
-  buffer reused every step (no per-iteration |W| allocation).
+  buffer reused every step (no per-iteration |W| allocation).  Buckets
+  launch in that reverse order, but each lays out its own parameters in
+  ``parameters()`` order.
 * :class:`BucketedExchange` — the per-rank driver.  In overlap mode it
-  installs gradient-ready hooks on the leaf modules
-  (:meth:`repro.nn.layers.base.Module.register_grad_ready_hook`); as soon
-  as every parameter of bucket *k* is final — and all earlier buckets have
-  launched, preserving the collective program-order contract — it charges
-  that slice of backward compute and launches a nonblocking
-  ``iallreduce``.  ``finish_step`` flush-launches whatever backward never
-  reached (empty shards), waits the buckets in plan order, and unpacks the
-  reduced gradients.  In blocking mode (``overlap=False`` with a bucket
-  size) the same plan runs as sequential per-bucket blocking allreduces —
-  bucketed wire traffic without the overlap.
+  puts a hook (:meth:`repro.nn.layers.base.Module.add_hook`) on every
+  module owning a planned parameter; after that module's ``backward`` the
+  hook reports its gradients ready, and as soon as every parameter of
+  bucket *k* is final — and all earlier buckets have launched, preserving
+  the collective program-order contract — it charges that slice of
+  backward compute and launches a nonblocking ``iallreduce``.
+  ``finish_step`` flush-launches whatever backward never reached (empty
+  shards), waits the buckets in plan order, and unpacks the reduced
+  gradients.  In blocking mode (``overlap=False``) the same plan runs as
+  sequential per-bucket blocking allreduces (or compressed exchanges).
 
 Simulated-time accounting: launches charge compute through
 ``Communicator.compute`` (forward = 1/3 of the step, backward split across
@@ -37,8 +44,8 @@ overlap efficiency the obs gauge exports).
 
 Bitwise semantics: bucketing only partitions the flat gradient vector.
 For the ``tree`` and ``rhd`` algorithms the per-element reduction tree is
-independent of the partition, so bucketed results are *bit-identical* to
-the monolithic exchange.  ``ring`` assigns chunks to starting ranks by
+independent of the partition, so every plan is *bit-identical* to the
+one-bucket exchange.  ``ring`` assigns chunks to starting ranks by
 buffer position, so its summation order changes with the partition —
 results agree to summation-reassociation tolerance (~1e-12), exactly the
 variation a world-size change already introduces.
@@ -46,6 +53,7 @@ variation a world-size change already introduces.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -94,8 +102,10 @@ class BucketPlan:
     """Reverse-backward partition of a parameter list into gradient buckets.
 
     Bucket 0 holds the *last* parameters of ``params`` — the gradients
-    backward finalises first — so launches naturally follow readiness.
-    The greedy boundary rule is shared with the perfmodel predictor
+    backward finalises first — so launches naturally follow readiness;
+    within a bucket the parameters keep their ``params`` order, so a
+    one-bucket plan's buffer is ``flatten_grads(params)``.  The greedy
+    boundary rule is shared with the perfmodel predictor
     (:func:`repro.perfmodel.overlap.greedy_partition`), keeping analytic
     and simulated bucket schedules identical.
     """
@@ -112,7 +122,7 @@ class BucketPlan:
         self.buckets: list[Bucket] = []
         cursor = 0
         for i, group in enumerate(groups):
-            self.buckets.append(Bucket(i, rev[cursor : cursor + len(group)]))
+            self.buckets.append(Bucket(i, rev[cursor : cursor + len(group)][::-1]))
             cursor += len(group)
         self.total_size = sum(b.size for b in self.buckets)
         #: param id → bucket index (hooks resolve readiness through this)
@@ -157,7 +167,6 @@ class BucketedExchange:
         self.exposed_seconds = 0.0
         #: cumulative simulated seconds of allreduce occupancy (sum of buckets)
         self.busy_seconds = 0.0
-        self.steps = 0
         self._hooked: list[Module] = []
         # per-step state
         self._weight = 1.0
@@ -169,21 +178,23 @@ class BucketedExchange:
 
     # -- overlap hooks -------------------------------------------------------
     def install_hooks(self, model: Module) -> None:
-        """Register gradient-ready hooks on every leaf module owning a
-        planned parameter; each firing may launch one or more buckets."""
+        """Hook every module owning a planned parameter; after each of its
+        ``backward`` calls the hook may launch one or more buckets."""
         for module in model.modules():
-            own = [
-                p for p in vars(module).values()
-                if isinstance(p, Parameter) and id(p) in self.plan.bucket_of
-            ]
-            if own:
-                module.register_grad_ready_hook(self._on_grad_ready)
+            if any(isinstance(p, Parameter) and id(p) in self.plan.bucket_of
+                   for p in vars(module).values()):
+                module.add_hook(self._grad_ready_hook)
                 self._hooked.append(module)
 
     def remove_hooks(self) -> None:
         for module in self._hooked:
-            module.remove_grad_ready_hook()
+            module.remove_hook(self._grad_ready_hook)
         self._hooked.clear()
+
+    def _grad_ready_hook(self, module: Module, phase: str, x):
+        if phase == "backward":
+            return functools.partial(self._on_grad_ready, module)
+        return None
 
     def _on_grad_ready(self, module: Module) -> None:
         for p in vars(module).values():
@@ -256,7 +267,6 @@ class BucketedExchange:
         busy = sum(req.sim_latency for req in self._requests)
         self.exposed_seconds += exposed
         self.busy_seconds += busy
-        self.steps += 1
         if busy > 0.0:
             _gauge("cluster.overlap_efficiency", rank=self.comm.rank).set(
                 1.0 - exposed / busy
@@ -269,20 +279,18 @@ class BucketedExchange:
         Same plan, same wire partitioning (so fault plans see per-bucket
         messages), but every allreduce — or per-bucket compressed exchange —
         completes before the next launches; comm time is fully exposed.
+        With one bucket this is the monolithic exchange.
         """
         start = self.comm.time
-        with _timed("cluster.bucket_sync", rank=self.comm.rank,
-                    buckets=len(self.plan.buckets)):
-            for bucket in self.plan.buckets:
-                flat = bucket.pack(weight)
-                if self.compressor is not None:
-                    from .compression import compressed_allreduce
+        for bucket in self.plan.buckets:
+            flat = bucket.pack(weight)
+            if self.compressor is not None:
+                from .compression import compressed_allreduce
 
-                    total = compressed_allreduce(self.comm, flat, self.compressor)
-                else:
-                    total = self.comm.allreduce(flat, algorithm=self.algorithm)
-                bucket.unpack(total)
+                total = compressed_allreduce(self.comm, flat, self.compressor)
+            else:
+                total = self.comm.allreduce(flat, algorithm=self.algorithm)
+            bucket.unpack(total)
         elapsed = self.comm.time - start
         self.exposed_seconds += elapsed
         self.busy_seconds += elapsed
-        self.steps += 1

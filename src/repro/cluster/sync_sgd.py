@@ -75,6 +75,7 @@ from ..nn.memory import MemoryContext
 from ..obs import timed as _timed
 from ..obs.events import publish as _publish
 from ..obs.metrics import gauge as _gauge
+from .bucketing import BucketedExchange, BucketPlan
 from .packing import flatten_grads, flatten_params, unflatten_grads, unflatten_params
 from .sharding import epoch_permutation, shard_batch
 
@@ -111,9 +112,9 @@ class SyncSGDConfig:
         payloads.  ``None`` = full-precision exchange.
     bucket_bytes:
         Split the gradient exchange into ~this many bytes per bucket
-        (allreduce mode only); ``None`` with ``overlap=False`` keeps the
-        monolithic single-message exchange.  See
-        :mod:`repro.cluster.bucketing`.
+        (allreduce mode only).  ``None`` with ``overlap=False`` is the
+        monolithic exchange: the one-bucket plan, one |W|-element
+        allreduce per step.  See :mod:`repro.cluster.bucketing`.
     overlap:
         Overlap gradient communication with backward compute: each
         bucket's allreduce launches as soon as backward finalises its
@@ -318,30 +319,14 @@ class _SnapshotStore:
             return self._latest
 
 
-def _sync_gradient_allreduce(
-    comm: Communicator,
-    model: Module,
-    weight: float,
-    algorithm: str,
-    compressor=None,
-    bucket: np.ndarray | None = None,
-) -> None:
-    """Decentralised mode: allreduce shard-weighted gradients in place,
-    optionally through a gradient compressor (1-bit / top-k / quantised).
-
-    ``bucket`` is the rank's reusable flat gradient buffer (|W| floats);
-    supplying it avoids reallocating the bucket every iteration."""
-    params = model.parameters()
-    flat = flatten_grads(params, out=bucket)
-    if weight != 1.0:
-        flat *= weight
-    if compressor is not None:
-        from .compression import compressed_allreduce
-
-        total = compressed_allreduce(comm, flat, compressor)
+def _sync_gradient_allreduce(exchange: BucketedExchange, weight: float) -> None:
+    """Decentralised mode: allreduce the shard-weighted gradients in place
+    through the rank's bucketed exchange — finishing the overlapped buckets
+    backward launched, or running every bucket now."""
+    if exchange.overlap:
+        exchange.finish_step()
     else:
-        total = comm.allreduce(flat, algorithm=algorithm)
-    unflatten_grads(total, params)
+        exchange.sync_blocking(weight)
 
 
 def _sync_gradient_master(
@@ -431,10 +416,9 @@ def train_sync_sgd(
             iteration = start_epoch * iters_per_epoch
             history: list[EpochRecord] = []
             time_curve: list[tuple[int, float, float]] = []
-            # gradient-exchange accounting for the monolithic path (the
-            # bucketed exchange keeps its own running totals)
-            exposed_total = 0.0
-            busy_total = 0.0
+            # master mode's blocking exchange is all exposed (the bucketed
+            # exchange keeps its own running totals)
+            master_seconds = 0.0
 
             # SyncBatchNorm layers need this rank's communicator; their
             # presence switches the gradient protocol to pre-scaling.
@@ -442,33 +426,30 @@ def train_sync_sgd(
             for bn in sync_bn:
                 bn.set_comm(comm)
             uses_sync_bn = bool(sync_bn)
-            compressor = (
-                cfg.compressor_factory() if cfg.compressor_factory else None
-            )
-            # Reusable flat gradient bucket (one |W| buffer per rank); master
-            # mode also reuses a |W| buffer for the weight broadcast.
-            grad_bucket = np.empty(
-                sum(p.size for p in model.parameters()), dtype=np.float64
-            )
-            param_bucket = (
-                np.empty_like(grad_bucket) if cfg.mode == "master" else None
-            )
-            # Bucketed (optionally overlapped) gradient exchange — see
-            # repro.cluster.bucketing.  The monolithic path below stays
-            # byte-identical when neither bucket_bytes nor overlap is set.
-            exchange = None
-            if cfg.mode == "allreduce" and (cfg.overlap or cfg.bucket_bytes is not None):
-                from .bucketing import BucketedExchange, BucketPlan
-
+            if cfg.mode == "allreduce":
+                # The bucketed (optionally overlapped) exchange — see
+                # repro.cluster.bucketing; the monolithic exchange is its
+                # one-bucket plan.
+                bucket_bytes = cfg.bucket_bytes
+                if bucket_bytes is None and not cfg.overlap:
+                    bucket_bytes = sum(p.data.nbytes for p in model.parameters())
                 exchange = BucketedExchange(
                     comm,
-                    BucketPlan.from_model(model, bucket_bytes=cfg.bucket_bytes),
+                    BucketPlan.from_model(model, bucket_bytes=bucket_bytes),
                     algorithm=cfg.algorithm,
                     overlap=cfg.overlap,
-                    compressor=compressor,
+                    compressor=(cfg.compressor_factory()
+                                if cfg.compressor_factory else None),
                 )
                 if cfg.overlap:
                     exchange.install_hooks(model)
+            else:
+                # reusable |W| buffers for the gradient reduce and the
+                # weight broadcast
+                grad_bucket = np.empty(
+                    sum(p.size for p in model.parameters()), dtype=np.float64
+                )
+                param_bucket = np.empty_like(grad_bucket)
 
             for epoch in range(start_epoch, cfg.epochs):
                 order = epoch_permutation(n, epoch, cfg.shuffle_seed)
@@ -490,7 +471,6 @@ def train_sync_sgd(
                     # shards are uneven
                     weight = len(local_idx) / gbs
                     combine_weight = 1.0 if uses_sync_bn else weight
-                    overlapping = exchange is not None and cfg.overlap
 
                     with _timed("trainer.train_step", rank=comm.rank,
                                 iteration=iteration, epoch=epoch):
@@ -503,7 +483,7 @@ def train_sync_sgd(
                                     examples=len(local_idx)):
                             model.train()
                             optimizer.zero_grad()
-                            if overlapping:
+                            if cfg.overlap:
                                 # charges forward time now; backward time is
                                 # charged per bucket as the hooks launch
                                 exchange.begin_step(combine_weight, step_seconds)
@@ -526,7 +506,7 @@ def train_sync_sgd(
                                         top1_accuracy(logits, yb) * len(local_idx)
                                     )
                                     seen += len(local_idx)
-                                    if (not overlapping
+                                    if (not cfg.overlap
                                             and cfg.compute_time is not None):
                                         comm.compute(step_seconds)
 
@@ -537,15 +517,7 @@ def train_sync_sgd(
                         with _timed("cluster.grad_sync", rank=comm.rank,
                                     mode=cfg.mode):
                             if cfg.mode == "allreduce":
-                                if overlapping:
-                                    exchange.finish_step()
-                                elif exchange is not None:
-                                    exchange.sync_blocking(combine_weight)
-                                else:
-                                    _sync_gradient_allreduce(
-                                        comm, model, combine_weight,
-                                        cfg.algorithm, compressor,
-                                        bucket=grad_bucket)
+                                _sync_gradient_allreduce(exchange, combine_weight)
                                 optimizer.step(lr)
                             else:
                                 _sync_gradient_master(
@@ -553,9 +525,8 @@ def train_sync_sgd(
                                     lr, grad_bucket=grad_bucket,
                                     param_bucket=param_bucket)
                         sync_elapsed = comm.time - sync_start
-                        if exchange is None:
-                            exposed_total += sync_elapsed
-                            busy_total += sync_elapsed
+                        if cfg.mode == "master":
+                            master_seconds += sync_elapsed
                         _gauge("cluster.straggler_wait_s",
                                rank=comm.rank).set(sync_elapsed)
                     iteration += 1
@@ -618,16 +589,16 @@ def train_sync_sgd(
                                  path=snapshot["path"], sim_seconds=comm.time)
 
             if comm.rank == 0:
-                if exchange is not None:
-                    exposed_total = exchange.exposed_seconds
-                    busy_total = exchange.busy_seconds
+                exposed = busy = master_seconds
+                if cfg.mode == "allreduce":
+                    exposed, busy = exchange.exposed_seconds, exchange.busy_seconds
                 return {
                     "history": history,
                     "time_curve": time_curve,
                     "state": model.state_dict(),
                     "optimizer_state": optimizer.state_dict(),
-                    "exposed_comm_seconds": exposed_total,
-                    "comm_busy_seconds": busy_total,
+                    "exposed_comm_seconds": exposed,
+                    "comm_busy_seconds": busy,
                 }
             return None
 
@@ -672,31 +643,10 @@ def train_sync_sgd(
 
         return worker
 
-    # ---- fault-free fast path: one attempt, exceptions propagate -------------
-    if not fault_tolerant:
-        worker = make_worker(config.world, config.start_epoch,
-                             config.initial_model_state,
-                             config.initial_optimizer_state,
-                             injector=None, store=None, cfg=config)
-        results, fabric = run_cluster(config.world, worker,
-                                      profile=config.profile,
-                                      recv_timeout=config.recv_timeout)
-        root = results[0]
-        return ClusterResult(
-            history=root["history"],
-            simulated_seconds=fabric.makespan,
-            messages=fabric.stats.messages,
-            comm_bytes=fabric.stats.bytes,
-            time_curve=root["time_curve"],
-            final_state=root["state"],
-            final_optimizer_state=root["optimizer_state"],
-            final_world=config.world,
-            exposed_comm_seconds=root["exposed_comm_seconds"],
-            comm_busy_seconds=root["comm_busy_seconds"],
-        )
-
-    # ---- fault-tolerant controller: attempts + elastic recovery --------------
-    total_stats = FaultStats()
+    # ---- the controller: attempts + elastic recovery --------------------------
+    # Without a fault plan there is one attempt: no injector, no snapshots,
+    # and the worker is the bare body, so its exceptions propagate.
+    total_stats = FaultStats() if fault_tolerant else None
     reports: list[FaultReport] = []
     plan = config.fault_plan
     cfg = config
@@ -712,14 +662,15 @@ def train_sync_sgd(
     recoveries = 0
 
     while True:
-        injector = FaultInjector(plan)
-        store = _SnapshotStore()
+        injector = FaultInjector(plan) if fault_tolerant else None
+        store = _SnapshotStore() if fault_tolerant else None
         worker = make_worker(world, start_epoch, model_state, opt_state,
                              injector, store, cfg)
         results, fabric = run_cluster(world, worker, profile=cfg.profile,
                                       injector=injector,
                                       recv_timeout=cfg.recv_timeout)
-        total_stats.merge(injector.stats)
+        if fault_tolerant:
+            total_stats.merge(injector.stats)
         total_messages += fabric.stats.messages
         total_bytes += fabric.stats.bytes
 

@@ -29,16 +29,31 @@ __all__ = ["Module", "Sequential"]
 Shape = tuple[int, ...]
 
 
-def _opens_pass(forward):
-    """Wrap a layer class's ``forward``: on the module a memory context is
-    bound to (its root), every call first starts a new pass of the context."""
+def _runs_hooks(method, phase: str):
+    """Wrap a layer class's ``forward`` or ``backward`` so that each
+    outermost call on an instance runs the instance's hooks around it.
 
-    @functools.wraps(forward)
+    A hook is called as ``hook(module, phase, x)`` before the method and
+    may return a callable, called with no arguments once the method has
+    returned.  Hooks fire in registration order, once per outermost call:
+    a ``super()`` call made while they are running does not fire them
+    again.  Modules with no hooks pay one attribute read."""
+
+    @functools.wraps(method)
     def wrapped(self, x, *args, **kwargs):
-        mem = self._memory
-        if mem is not None and mem.root is self:
-            mem.begin(x.shape, x.dtype, self.training)
-        return forward(self, x, *args, **kwargs)
+        hooks = self._hooks
+        if not hooks or self._in_hooked_call:
+            return method(self, x, *args, **kwargs)
+        self._in_hooked_call = True
+        try:
+            afters = [hook(self, phase, x) for hook in hooks]
+            y = method(self, x, *args, **kwargs)
+        finally:
+            self._in_hooked_call = False
+        for after in afters:
+            if after is not None:
+                after()
+        return y
 
     return wrapped
 
@@ -60,10 +75,16 @@ class Module:
     #: reshape copy instead, so they keep the default ``False``.
     _fusion_source = False
 
+    #: this instance's forward/backward hooks (see :meth:`add_hook`); the
+    #: empty class default keeps hook-free modules on the fast path
+    _hooks: tuple = ()
+    _in_hooked_call = False
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "forward" in vars(cls):
-            cls.forward = _opens_pass(vars(cls)["forward"])
+        for phase in ("forward", "backward"):
+            if phase in vars(cls):
+                setattr(cls, phase, _runs_hooks(vars(cls)[phase], phase))
 
     #: human-readable type name used in summaries
     def __init__(self) -> None:
@@ -84,19 +105,23 @@ class Module:
         From the next forward on, every descendant's buffer requests are
         served from the context's slab (after one recording pass per step
         shape) instead of fresh arrays.  This module becomes the context's
-        root: each of its forwards starts a pass.  The arithmetic is the
-        same code either way, so results stay bitwise identical (asserted
-        by ``tests/nn/test_memory_parity.py``).  Returns ``self``.
+        root: a hook on it starts a pass at each of its forwards.  The
+        arithmetic is the same code either way, so results stay bitwise
+        identical (asserted by ``tests/nn/test_memory_parity.py``).
+        Returns ``self``.
         """
+        if self._memory is not None:
+            self.remove_hook(self._memory.begin_hook)
         for m in self.modules():
             m._memory = memory
         memory.root = self
-        return self
+        return self.add_hook(memory.begin_hook)
 
     def unbind_memory(self) -> "Module":
         """Detach the subtree's context: buffers are freshly allocated again."""
         if self._memory is not None and self._memory.root is self:
             self._memory.root = None
+            self.remove_hook(self._memory.begin_hook)
         for m in self.modules():
             vars(m).pop("_memory", None)
         return self
@@ -186,35 +211,23 @@ class Module:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def register_grad_ready_hook(self, hook) -> "Module":
-        """Call ``hook(module)`` after every ``backward`` on this module.
-
-        By that point the module's parameter gradients for the step are
-        final (each module supports one outstanding forward, so one
-        backward per step), which is exactly the signal a bucketed
-        gradient exchange needs to launch a bucket while earlier layers
-        are still differentiating.  The wrapper is installed per
-        *instance* — other instances of the class are untouched.  Returns
-        ``self`` for chaining.
-        """
-        inner = type(self).backward
-
-        def wrapped(grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            if out is None:
-                grad_in = inner(self, grad_out)
-            else:
-                grad_in = inner(self, grad_out, out=out)
-            hook(self)
-            return grad_in
-
-        self.backward = wrapped
-        self._grad_ready_hook = hook
+    def add_hook(self, hook) -> "Module":
+        """Run ``hook(module, phase, x)`` before every ``forward`` and
+        ``backward`` call on this module (``phase`` names the method, ``x``
+        is its input).  A hook may return a callable, which runs after the
+        method returns — after ``backward``, the module's parameter
+        gradients for the step are final.  Hooks are per instance and fire
+        in registration order.  Returns ``self``."""
+        self._hooks = (*self._hooks, hook)
         return self
 
-    def remove_grad_ready_hook(self) -> "Module":
-        """Undo :meth:`register_grad_ready_hook` (no-op if none installed)."""
-        vars(self).pop("backward", None)
-        vars(self).pop("_grad_ready_hook", None)
+    def remove_hook(self, hook) -> "Module":
+        """Undo one :meth:`add_hook` of ``hook`` (no-op if it is not
+        installed); the module's other hooks keep firing."""
+        hooks = list(self._hooks)
+        if hook in hooks:
+            hooks.remove(hook)
+            self._hooks = tuple(hooks)
         return self
 
     def assign_names(self, prefix: str = "") -> None:

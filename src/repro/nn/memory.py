@@ -25,8 +25,9 @@ bytes are shared by every buffer whose lifetime does not overlap:
   final batch, evaluation batch) shares one buffer.
 
 A pass starts when the context's *root* — the module ``bind_memory`` was
-called on — runs ``forward``, and a pass's buffers are valid until the
-next pass starts.  A request outside a pass raises.  Switching the model
+called on, which carries the context's :meth:`MemoryContext.begin_hook` —
+runs ``forward``, and a pass's buffers are valid until the next pass
+starts.  A request outside a pass raises.  Switching the model
 between ``train()`` and ``eval()`` closes the pass, so a recording is
 packed as soon as its mode ends.
 
@@ -270,12 +271,9 @@ def _detached_copy(model, loss):
             obj = vars(m).get(attr)
             if obj is not None:
                 memo[id(obj)] = None
-    model = copy.deepcopy(model, memo)
-    loss = copy.deepcopy(loss, memo)
-    for m in model.modules():
-        for attr in ("forward", "backward", "_grad_ready_hook"):
-            vars(m).pop(attr, None)  # per-instance wrappers (hooks, profilers)
-    return model, loss
+        if "_hooks" in vars(m):
+            memo[id(m._hooks)] = ()
+    return copy.deepcopy(model, memo), copy.deepcopy(loss, memo)
 
 
 class Slab:
@@ -357,6 +355,12 @@ class MemoryContext:
         raise RuntimeError(
             f"request {i} of a replayed pass is {_owner_name(owner)}.{tag} "
             f"{tuple(shape)} {np.dtype(dtype).name}; the recorded pass had {want}")
+
+    def begin_hook(self, module, phase: str, x) -> None:
+        """The hook ``bind_memory`` puts on the root: its forward starts a
+        pass on its input (inert once another module is the root)."""
+        if phase == "forward" and self.root is module:
+            self.begin(x.shape, x.dtype, module.training)
 
     def begin(self, shape, dtype, training: bool) -> None:
         """Start a pass on a root input of ``shape``/``dtype``: the previous

@@ -2,8 +2,9 @@
 measure first, then optimise.
 
 :class:`Timer` is a context-manager stopwatch with accumulation;
-:class:`LayerProfiler` wraps a model and records per-layer forward/backward
-wall time, producing the table that tells you which layer to vectorise next.
+:class:`LayerProfiler` hooks a model's layers and records per-layer
+forward/backward wall time, producing the table that tells you which layer
+to vectorise next.
 """
 
 from __future__ import annotations
@@ -107,14 +108,17 @@ class Timer:
 class LayerProfiler:
     """Per-layer forward/backward timing for a :class:`Sequential` model.
 
-    Wraps each layer's ``forward``/``backward`` in place; call
-    :meth:`report` after running some steps and :meth:`unwrap` to restore.
+    Puts a hook on each layer (:meth:`repro.nn.layers.base.Module.add_hook`)
+    that times its outermost ``forward``/``backward`` calls, so it composes
+    with every other hook — the overlapped exchange's gradient-ready hooks
+    and the memory context's pass hook — in any order.  Call :meth:`report`
+    after running some steps and :meth:`unwrap` to remove the hooks.
 
-    When ``tracer`` is given (a :class:`repro.obs.Tracer`), every wrapped
+    When ``tracer`` is given (a :class:`repro.obs.Tracer`), every timed
     call additionally emits a ``layer.forward``/``layer.backward`` span, so
-    the per-layer table and the Chrome-trace timeline come from one wrapping
-    of the model.  Span emission costs one attribute check per call while
-    the tracer is disabled.
+    the per-layer table and the Chrome-trace timeline come from one set of
+    hooks.  Span emission costs one attribute check per call while the
+    tracer is disabled.
     """
 
     def __init__(self, model: Sequential, tracer=None):
@@ -124,45 +128,36 @@ class LayerProfiler:
         self.tracer = tracer
         self.forward_time: dict[str, Timer] = defaultdict(Timer)
         self.backward_time: dict[str, Timer] = defaultdict(Timer)
-        self._originals: list[tuple[Module, object, object]] = []
-        self._wrap()
+        self._hooked: list[tuple[Module, Callable]] = []
+        for idx, layer in enumerate(model.layers):
+            hook = self._hook(f"{idx:02d}:{layer.name or type(layer).__name__}")
+            layer.add_hook(hook)
+            self._hooked.append((layer, hook))
 
-    def _label(self, idx: int, layer: Module) -> str:
-        return f"{idx:02d}:{layer.name or type(layer).__name__}"
+    def _hook(self, label: str) -> Callable:
+        def hook(module, phase, x):
+            timer = (self.forward_time if phase == "forward"
+                     else self.backward_time)[label]
+            tr = self.tracer
+            if tr is None or not tr.enabled:
+                timer.__enter__()
+                return timer.__exit__
+            span = tr.span(f"layer.{phase}", layer=label)
+            timer.__enter__()
 
-    def _wrap(self) -> None:
-        for idx, layer in enumerate(self.model.layers):
-            label = self._label(idx, layer)
-            fwd, bwd = layer.forward, layer.backward
-            self._originals.append((layer, fwd, bwd))
+            def after():
+                timer.__exit__()
+                span.__exit__(None, None, None)
 
-            # ``out=`` passes through: containers hand it to a layer that
-            # computes into a caller's buffer (e.g. a fused padded input).
-            def timed_fwd(x, out=None, _f=fwd, _l=label):
-                tr = self.tracer
-                if tr is not None and tr.enabled:
-                    with tr.span("layer.forward", layer=_l), self.forward_time[_l]:
-                        return _f(x, out=out)
-                with self.forward_time[_l]:
-                    return _f(x, out=out)
+            return after
 
-            def timed_bwd(g, out=None, _b=bwd, _l=label):
-                tr = self.tracer
-                if tr is not None and tr.enabled:
-                    with tr.span("layer.backward", layer=_l), self.backward_time[_l]:
-                        return _b(g, out=out)
-                with self.backward_time[_l]:
-                    return _b(g, out=out)
-
-            layer.forward = timed_fwd
-            layer.backward = timed_bwd
+        return hook
 
     def unwrap(self) -> None:
-        """Restore the original methods."""
-        for layer, fwd, bwd in self._originals:
-            layer.forward = fwd
-            layer.backward = bwd
-        self._originals.clear()
+        """Remove the timing hooks (the layers' other hooks stay)."""
+        for layer, hook in self._hooked:
+            layer.remove_hook(hook)
+        self._hooked.clear()
 
     def report(self) -> str:
         """Per-layer table sorted by total time, slowest first."""

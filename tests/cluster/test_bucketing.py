@@ -99,19 +99,29 @@ class TestBucketBuffers:
         assert first is bucket.buffer
 
 
+def _post_backward(record):
+    """A hook that calls ``record(module)`` after each backward."""
+
+    def hook(module, phase, x):
+        if phase == "backward":
+            return lambda: record(module)
+        return None
+
+    return hook
+
+
 class TestGradReadyHooks:
     def test_hooks_fire_in_reverse_layer_order(self):
         model = mlp(8, [16, 16], 3, seed=0)
         fired = []
         hooked = []
+        hook = _post_backward(lambda m: fired.append(id(m)))
         for module in model.modules():
             if any(
                 hasattr(v, "grad") and hasattr(v, "data")
                 for v in vars(module).values()
             ):
-                module.register_grad_ready_hook(
-                    lambda m: fired.append(id(m))
-                )
+                module.add_hook(hook)
                 hooked.append(id(module))
         x = np.random.default_rng(0).normal(size=(4, 8))
         out = model.forward(x)
@@ -119,17 +129,44 @@ class TestGradReadyHooks:
         # backward finalises the *last* layer's gradients first
         assert fired == hooked[::-1]
         for module in model.modules():
-            module.remove_grad_ready_hook()
+            module.remove_hook(hook)
+        assert all(m._hooks == () for m in model.modules())
 
-    def test_remove_restores_class_backward(self):
+    def test_remove_one_hook_keeps_the_other(self):
         model = mlp(8, [16], 3, seed=0)
-        module = next(iter(model.modules()))
-        original = module.backward
-        module.register_grad_ready_hook(lambda m: None)
-        assert module.backward is not original
-        module.remove_grad_ready_hook()
-        # instance override gone: attribute resolves to the bound class method
-        assert "backward" not in vars(module)
+        module = model.layers[0]
+        fired = []
+        first = _post_backward(lambda m: fired.append("first"))
+        second = _post_backward(lambda m: fired.append("second"))
+        module.add_hook(first).add_hook(second)
+        module.remove_hook(first)
+        out = model.forward(np.zeros((2, 8)))
+        model.backward(np.ones_like(out))
+        assert fired == ["second"]
+        module.remove_hook(first)  # removing an absent hook is a no-op
+        assert module._hooks == (second,)
+
+    def test_two_hooks_fire_in_registration_order(self):
+        model = mlp(8, [16], 3, seed=0)
+        module = model.layers[0]
+        calls = []
+
+        def tagged(tag):
+            def hook(m, phase, x):
+                calls.append((tag, phase, "pre"))
+                return lambda: calls.append((tag, phase, "post"))
+
+            return hook
+
+        module.add_hook(tagged("a")).add_hook(tagged("b"))
+        out = model.forward(np.zeros((2, 8)))
+        model.backward(np.ones_like(out))
+        assert calls == [
+            ("a", "forward", "pre"), ("b", "forward", "pre"),
+            ("a", "forward", "post"), ("b", "forward", "post"),
+            ("a", "backward", "pre"), ("b", "backward", "pre"),
+            ("a", "backward", "post"), ("b", "backward", "post"),
+        ]
 
     def test_exchange_install_hooks_only_on_param_owners(self):
         model = mlp(8, [16], 3, seed=0)

@@ -16,6 +16,7 @@ from repro.comm import allreduce_cost, run_cluster
 from repro.comm.fabric import NetworkProfile
 from repro.core import LARS, SGD, ConstantLR, GradualWarmup, PolynomialDecay, Trainer
 from repro.data import gaussian_blobs
+from repro.faults import FaultPlan
 from repro.nn.models import mlp
 
 _X, _Y = gaussian_blobs(64, num_classes=3, dim=5, seed=101)
@@ -48,6 +49,45 @@ class TestSequentialConsistencyProperty:
             ref = model.state_dict()
             for k in ref:
                 assert np.allclose(cluster.final_state[k], ref[k], atol=1e-9)
+
+
+class TestGradientExchangeProperty:
+    """Every bucket plan partitions the one-bucket (monolithic) exchange."""
+
+    @given(data=st.data(), world=st.integers(1, 8),
+           hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+           algorithm=st.sampled_from(["tree", "ring", "rhd"]),
+           overlap=st.booleans(), fault_seed=st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_bucketed_matches_one_bucket(self, data, world, hidden, algorithm,
+                                         overlap, fault_seed):
+        if algorithm == "rhd":
+            world = 1 << (world.bit_length() - 1)  # rhd needs a power of two
+
+        def builder():
+            return mlp(5, hidden, 3, seed=3)
+
+        w_bytes = sum(p.data.nbytes for p in builder().parameters())
+        bucket_bytes = data.draw(st.integers(1, w_bytes + 64), label="bucket_bytes")
+
+        def run(**kwargs):
+            config = SyncSGDConfig(world=world, epochs=1, batch_size=16,
+                                   algorithm=algorithm, shuffle_seed=3, **kwargs)
+            return train_sync_sgd(builder, lambda p: SGD(p, momentum=0.9),
+                                  ConstantLR(0.05), _X, _Y, _X[:16], _Y[:16],
+                                  config).final_state
+
+        one = run()
+        bucketed = run(bucket_bytes=bucket_bytes, overlap=overlap)
+        lossy = run(bucket_bytes=bucket_bytes, overlap=overlap, recv_timeout=10.0,
+                    fault_plan=FaultPlan(seed=fault_seed, drop_prob=0.1))
+        for k in one:
+            if algorithm == "ring":  # chunk ownership follows buffer position
+                assert np.abs(bucketed[k] - one[k]).max() <= 1e-12
+            else:
+                assert bucketed[k].tobytes() == one[k].tobytes()
+            assert lossy[k].tobytes() == bucketed[k].tobytes()
 
 
 class TestCollectiveProperties:

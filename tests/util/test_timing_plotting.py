@@ -139,6 +139,88 @@ class TestLayerProfiler:
         assert tracer.spans == []
 
 
+class TestProfilerComposesWithHooks:
+    """The profiler is one hook among others: any registration order, any
+    removal order, and ``super()`` calls inside a layer time it once."""
+
+    @staticmethod
+    def _step(model, batch=4):
+        out = model.forward(np.zeros((batch, 6)))
+        model.backward(np.ones_like(out))
+
+    def test_overlapped_cluster_run_profiles_every_backward(self):
+        from repro.cluster import SyncSGDConfig, train_sync_sgd
+        from repro.core import SGD, ConstantLR
+        from repro.data import gaussian_blobs
+
+        x, y = gaussian_blobs(64, num_classes=3, dim=6, seed=5)
+        profilers = []
+
+        def build(profile):
+            def builder():
+                model = mlp(6, [8], 3, seed=2)
+                if profile:
+                    # attached before the exchange adds its grad-ready hooks
+                    profilers.append(LayerProfiler(model))
+                return model
+
+            return builder
+
+        def run(profile):
+            config = SyncSGDConfig(world=2, epochs=1, batch_size=16,
+                                   overlap=True, bucket_bytes=64)
+            return train_sync_sgd(build(profile), lambda p: SGD(p, momentum=0.9),
+                                  ConstantLR(0.05), x, y, x[:8], y[:8], config)
+
+        profiled, plain = run(True), run(False)
+        assert len(profilers) == 2
+        for prof in profilers:
+            assert len(prof.backward_time) == 3
+            assert all(t.count == 4 for t in prof.backward_time.values())
+        for k, v in plain.final_state.items():
+            assert profiled.final_state[k].tobytes() == v.tobytes()
+
+    def test_removing_an_earlier_hook_keeps_the_profiler(self):
+        model = mlp(6, [8], 3)
+        fired = []
+
+        def hook(module, phase, x):
+            fired.append(phase)
+
+        for layer in model.layers:
+            layer.add_hook(hook)
+        prof = LayerProfiler(model)
+        for layer in model.layers:
+            layer.remove_hook(hook)
+        self._step(model)
+        assert fired == []
+        assert len(prof.backward_time) == len(model.layers)
+        assert all(t.count == 1 for t in prof.forward_time.values())
+        assert all(t.count == 1 for t in prof.backward_time.values())
+
+    def test_super_call_is_timed_once(self):
+        # SyncBatchNorm in eval mode runs BatchNorm's forward through super()
+        model = mlp(6, [8], 3, batch_norm="sync")
+        model.eval()
+        prof = LayerProfiler(model)
+        model.forward(np.zeros((4, 6)))
+        assert len(prof.forward_time) == len(model.layers) == 4
+        assert all(t.count == 1 for t in prof.forward_time.values())
+
+    def test_detached_copy_drops_every_hook(self):
+        from repro.nn import MemoryContext
+        from repro.nn.memory import _detached_copy
+
+        model = mlp(6, [8], 3)
+        model.bind_memory(MemoryContext())
+        LayerProfiler(model)
+        assert all(layer._hooks for layer in model.layers) and model._hooks
+        copy, _ = _detached_copy(model, None)
+        assert all(m._hooks == () for m in copy.modules())
+        assert all(m._memory is None for m in copy.modules())
+        copy.forward(np.zeros((2, 6)))  # runs unhooked, on fresh arrays
+
+
 class TestPlotting:
     def test_sparkline_monotone(self):
         s = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
