@@ -4,7 +4,8 @@ These cover the conv kernels, so the baseline files catch any future
 drift: the im2col workspace copy, the col2im non-overlapping scatter, the
 phase-plane clipped scatter every overlapping-window backward takes (at
 stride 1 and at an even stride-2 downsample), the 1×1 im2col-free route,
-and the end-to-end proxy train steps whose wall-clock the paper's E·n/B
+the AlexNet-LRN proxy's window layers (LRN, max pooling), and the
+end-to-end proxy train steps whose wall-clock the paper's E·n/B
 iteration count multiplies.
 """
 
@@ -105,6 +106,14 @@ def _col2im_fast_branch():
     return lambda: col2im(cols, x.shape, 2, 2, 2, 0)
 
 
+def _fwdbwd(layer, x, grad):
+    def step():
+        layer.forward(x)
+        layer.backward(grad)
+
+    return step
+
+
 def _conv(in_c, out_c, kernel, stride, pad, groups=1):
     from repro.nn.layers.conv import Conv2D
 
@@ -136,15 +145,7 @@ def _conv_fwd():
     params={"batch": _BATCH, "in_channels": 8, "out_channels": 16, "image": _IMAGE, "kernel": 3},
 )
 def _conv_fwdbwd():
-    layer = _conv(8, 16, 3, 1, 1)
-    x = _input(c=8)
-    grad = _input(n=_BATCH, c=16, seed=1)
-
-    def step():
-        layer.forward(x)
-        layer.backward(grad)
-
-    return step
+    return _fwdbwd(_conv(8, 16, 3, 1, 1), _input(c=8), _input(n=_BATCH, c=16, seed=1))
 
 
 @register(
@@ -160,15 +161,7 @@ def _conv_fwdbwd():
     },
 )
 def _conv_pointwise():
-    layer = _conv(32, 32, 1, 1, 0)
-    x = _input(c=32)
-    grad = _input(c=32, seed=1)
-
-    def step():
-        layer.forward(x)
-        layer.backward(grad)
-
-    return step
+    return _fwdbwd(_conv(32, 32, 1, 1, 0), _input(c=32), _input(c=32, seed=1))
 
 
 @register(
@@ -184,15 +177,29 @@ def _conv_pointwise():
     },
 )
 def _conv_grouped():
-    layer = _conv(16, 32, 5, 1, 2, groups=2)
-    x = _input(c=16)
-    grad = _input(c=32, seed=1)
+    return _fwdbwd(_conv(16, 32, 5, 1, 2, groups=2), _input(c=16), _input(c=32, seed=1))
 
-    def step():
-        layer.forward(x)
-        layer.backward(grad)
 
-    return step
+# The AlexNet-LRN proxy's first-stage window layers at one rank's shape in a
+# 4-rank run (local batch 16, 16 channels, 12×12 images); the proxy train
+# steps below use BatchNorm, so no other row runs LRN.
+_RANK = {"batch": 16, "channels": 16, "image": 12}
+
+
+@register("lrn.fwdbwd", area="nn", params={**_RANK, "size": 5})
+def _lrn_fwdbwd():
+    from repro.nn.layers.norm import LocalResponseNorm
+
+    x = _input(n=16, c=16, s=12)
+    return _fwdbwd(LocalResponseNorm(size=5), x, _input(n=16, c=16, s=12, seed=1))
+
+
+@register("maxpool.fwdbwd", area="nn", params={**_RANK, "kernel": 2, "stride": 2})
+def _maxpool_fwdbwd():
+    from repro.nn.layers.pooling import MaxPool2D
+
+    x = _input(n=16, c=16, s=12)
+    return _fwdbwd(MaxPool2D(2, 2), x, _input(n=16, c=16, s=6, seed=1))
 
 
 def _train_step(model_name: str, **kwargs):

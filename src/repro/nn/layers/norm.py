@@ -249,8 +249,12 @@ class LocalResponseNorm(Module):
 
     ``y_c = x_c / d_c**beta`` with
     ``d_c = k + (alpha/n) * sum_{c' in window(c)} x_{c'}^2`` where the window
-    spans ``n`` adjacent channels centred on ``c`` (Krizhevsky et al. 2012).
+    spans ``n`` adjacent channels centred on ``c`` (Krizhevsky et al. 2012),
+    so ``n`` (``size``) must be odd, as in Caffe's ``local_size``.
     Defaults are Caffe's AlexNet values.
+
+    A training forward caches ``d**-beta`` next to ``x`` and ``d``; the
+    backward reuses it instead of raising ``d`` to the power again.
     """
 
     _fusion_source = True  # forward writes ``out`` via plain ufuncs
@@ -258,6 +262,8 @@ class LocalResponseNorm(Module):
     def __init__(self, size: int = 5, alpha: float = 1e-4, beta: float = 0.75, k: float = 1.0):
         super().__init__()
         self.size = int(size)
+        if self.size < 1 or self.size % 2 == 0:
+            raise ValueError(f"LocalResponseNorm size must be a positive odd integer, got {size}")
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.k = float(k)
@@ -270,62 +276,45 @@ class LocalResponseNorm(Module):
         # square + windowed sum + pow + divide: ~ (size + 3) per element
         return (self.size + 3) * int(np.prod(input_shape))
 
-    def _bounds(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached window bounds into the zero-padded channel prefix sums."""
-        cached = self.__dict__.get("_hi_lo")
-        if cached is None or cached[0] != c:
-            half = self.size // 2
-            hi = np.minimum(np.arange(c) + half + 1, c)
-            lo = np.maximum(np.arange(c) - half, 0)
-            self._hi_lo = (c, hi, lo)
-            cached = self._hi_lo
-        return cached[1], cached[2]
-
-    def _window_sum(self, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Sliding-window sum of ``sq`` over the channel axis (axis=1), into
-        ``out``: channel prefix sums (led by a zero) gathered at the window
-        bounds and subtracted."""
-        n, c = sq.shape[0], sq.shape[1]
-        csum = self._buf("csum", (n, c + 1, *sq.shape[2:]), np.float64)
-        csum[:, :1] = 0.0
-        np.cumsum(sq, axis=1, out=csum[:, 1:])
-        hi, lo = self._bounds(c)
-        th = self._buf("th", sq.shape, np.float64)
-        np.take(csum, hi, axis=1, out=th)
-        tl = self._buf("tl", sq.shape, np.float64)
-        np.take(csum, lo, axis=1, out=tl)
-        np.subtract(th, tl, out=out)
-        return out
+    def _window_sum(self, terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Sliding-window sum of ``terms`` over the channel axis (axis=1),
+        into ``out``: the channel prefix sums ``csum``, led by ``half + 1``
+        zeros and trailed by ``half`` copies of the total, make window
+        ``c``'s ``csum[min(c+half+1, C)] - csum[max(c-half, 0)]`` (``csum[0]
+        = 0``) one subtract of two contiguous slices, with no gather."""
+        n, c = terms.shape[0], terms.shape[1]
+        half = self.size // 2
+        ext = self._buf("ext", (n, c + 2 * half + 1, *terms.shape[2:]), np.float64)
+        ext[:, : half + 1] = 0.0
+        np.cumsum(terms, axis=1, out=ext[:, half + 1 : half + 1 + c])
+        ext[:, half + 1 + c :] = ext[:, half + c : half + 1 + c]
+        return np.subtract(ext[:, 2 * half + 1 :], ext[:, :c], out=out)
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         sq = self._buf("sq", x.shape, np.float64)
         np.multiply(x, x, out=sq)
-        ssum = self._buf("ssum", x.shape, np.float64)
-        self._window_sum(sq, ssum)
-        del sq
         denom = self._buf("denom", x.shape, np.float64)
-        np.multiply(ssum, self.alpha / self.size, out=denom)
+        self._window_sum(sq, denom)
+        del sq
+        denom *= self.alpha / self.size
         denom += self.k
-        del ssum
-        t = self._buf("t", x.shape, np.float64)
-        np.power(denom, -self.beta, out=t)
+        dpow = self._buf("dpow", x.shape, np.float64)
+        np.power(denom, -self.beta, out=dpow)
         y = out if out is not None else self._buf("y", x.shape, np.float64)
-        np.multiply(x, t, out=y)
-        self._cache = (x, denom) if self.training else None
+        np.multiply(x, dpow, out=y)
+        self._cache = (x, denom, dpow) if self.training else None
         return y
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x, denom = self._cache
+        x, denom, dpow = self._cache
         # y_c = x_c * d_c^{-beta};  d_j depends on x_c iff c in window(j).
         # dx_c = g_c d_c^{-beta}
         #        - 2 beta (alpha/n) x_c * sum_{j: c in win(j)} g_j x_j d_j^{-beta-1}
         # and "c in window(j)" is symmetric to "j in window(c)" for a centred
         # window, so the inner sum is again a sliding-window sum.
         self._cache = None
-        dpow = self._buf("dpow", grad_out.shape, np.float64)
-        np.power(denom, -self.beta, out=dpow)
         t = self._buf("t", grad_out.shape, np.float64)
         np.multiply(grad_out, x, out=t)
         t *= dpow
@@ -333,13 +322,11 @@ class LocalResponseNorm(Module):
         del denom
         tsum = self._buf("tsum", grad_out.shape, np.float64)
         self._window_sum(t, tsum)
-        del t
         dx = out if out is not None else self._buf("dx", grad_out.shape, np.float64)
         np.multiply(grad_out, dpow, out=dx)
         del dpow
-        t2 = self._buf("t2", grad_out.shape, np.float64)
-        # fold left: ((scalar * x) * tsum)
-        np.multiply(x, 2.0 * self.beta * (self.alpha / self.size), out=t2)
-        t2 *= tsum
-        dx -= t2
+        # fold left: ((scalar * x) * tsum), with scalar * x in t's buffer
+        np.multiply(x, 2.0 * self.beta * (self.alpha / self.size), out=t)
+        tsum *= t
+        dx -= tsum
         return dx

@@ -39,34 +39,47 @@ class MaxPool2D(Module):
         else:
             xw = x
         oh, ow = conv_output_hw(hp, wp, k, k, s, 0)
-        cols = self._buf("cols", (n * c, k * k, oh * ow), x.dtype)
+        kk, span = k * k, oh * ow
+        cols = self._buf("cols", (n * c, kk, span), x.dtype)
         im2col(xw.reshape(n * c, 1, hp, wp), k, k, s, 0, out=cols)
-        cols4 = cols.reshape(n, c, k * k, oh * ow)
-        self._cache = None
-        if self.training:
-            argmax = self._buf("argmax", (n, c, oh * ow), np.intp)
-            np.argmax(cols4, axis=2, out=argmax)
-            self._cache = ((n, c, h, w), argmax, (oh, ow))
         y = out if out is not None else self._buf("y", (n, c, oh, ow), x.dtype)
-        # amax == the value take_along_axis(argmax) extracts, bit for bit
-        np.amax(cols4, axis=2, out=y.reshape(n, c, oh * ow))
+        ym = y.reshape(n * c, span)
+        np.amax(cols, axis=1, out=ym)
+        # np.argmax's first maximal offset by a compare chain over contiguous
+        # rows, Horner form, times span: idx = (idx + span) * (row_i != max)
+        idx = self._buf("idx", (n * c, span), np.intp)
+        idx[...] = 0
+        ne = self._buf("ne", (n * c, span), np.bool_)
+        for i in range(kk - 2, -1, -1):
+            np.not_equal(cols[:, i], ym, out=ne)
+            idx += span
+            idx *= ne
+        # a NaN is never equal to the NaN max: route to the first NaN
+        if np.isnan(ym, out=ne).any():
+            r, j = np.nonzero(ne)
+            idx[r, j] = np.argmax(cols[r, :, j], axis=1) * span
+        # flat index into ``cols``; gathering there makes ``y`` the bytes of
+        # the first maximal element, whose sign of zero ``amax`` may not keep
+        # (in range by construction: "clip" skips "raise"'s buffered copy)
+        idx += np.arange(0, cols.size, kk * span).reshape(-1, 1)
+        idx += np.arange(span)
+        np.take(cols.reshape(-1), idx, out=ym, mode="clip")
+        self._cache = ((n, c, h, w), idx, (oh, ow)) if self.training else None
         return y
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        (n, c, h, w), argmax, (oh, ow) = self._cache
+        (n, c, h, w), idx, (oh, ow) = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
-        dcols = self._buf("dcols", (n, c, k * k, oh * ow), np.float64)
+        dcols = self._buf("dcols", (n * c, k * k, oh * ow), np.float64)
         dcols[...] = 0.0
-        go = grad_out.reshape(n, c, 1, oh * ow)
-        np.put_along_axis(dcols, argmax[:, :, None, :], go, axis=2)
+        dcols.reshape(-1)[idx] = grad_out.reshape(idx.shape)
         self._cache = None
-        del argmax
+        del idx
         dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
         window_grad(
-            dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, h, w), k, s, p,
-            out=dx.reshape(n * c, 1, h, w), buf=self._buf,
+            dcols, (n * c, 1, h, w), k, s, p, out=dx.reshape(n * c, 1, h, w), buf=self._buf
         )
         return dx
 

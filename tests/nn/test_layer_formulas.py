@@ -153,6 +153,29 @@ def test_every_layer_type_has_a_case():
     assert layer_types <= covered
 
 
+@pytest.mark.parametrize("bound", [False, True], ids=["unbound", "bound"])
+@pytest.mark.parametrize("pool", [(2, 2, 0), (3, 2, 1), (3, 1, 0)])
+def test_maxpool_ties_match_eager_formula(pool, bound):
+    # windows full of repeated maxima, +0.0 and -0.0 tying among them: the
+    # output is the first maximal element's bytes, sign of zero included
+    k, s, p = pool
+    layer = MaxPool2D(k, stride=s, padding=p)
+    twin = eager_twin(layer)
+    if bound:
+        layer.bind_memory(MemoryContext())
+    rng = np.random.default_rng(17)
+    for step in range(STEPS):
+        x = rng.choice([-1.0, -0.0, 0.0], size=(4, 3, 7, 8))
+        y = layer.forward(x)
+        _assert_bitwise(y, twin.forward(x), f"step {step}: forward")
+        g = rng.standard_normal(y.shape)
+        _assert_bitwise(layer.backward(g), twin.backward(g), f"step {step}: dx")
+    layer.eval()
+    twin.eval()
+    x = rng.choice([-1.0, -0.0, 0.0], size=(4, 3, 7, 8))
+    _assert_bitwise(layer.forward(x), twin.forward(x), "eval forward")
+
+
 class _RecordingComm:
     """Two-rank stand-in whose allreduce records what this rank sends."""
 

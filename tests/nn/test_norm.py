@@ -129,3 +129,10 @@ class TestLRN:
 
     def test_no_parameters(self):
         assert LocalResponseNorm().parameters() == []
+
+    @pytest.mark.parametrize("size", [0, 2, 4, -1])
+    def test_rejects_size_without_a_centre_channel(self, size):
+        # an even window [c-half, c+half] spans size + 1 channels while alpha
+        # is divided by size; Caffe rejects an even local_size too
+        with pytest.raises(ValueError, match="odd"):
+            LocalResponseNorm(size=size)
