@@ -78,9 +78,6 @@ def _add_train_parser(sub) -> None:
     fault.add_argument("--checkpoint-dir", default=None,
                        help="directory for periodic on-disk checkpoints "
                             "(atomic .npz; used by crash recovery)")
-    fault.add_argument("--recv-timeout", type=float, default=10.0,
-                       help="wall seconds a recv waits before declaring a "
-                            "peer unresponsive (fault runs only)")
     mem = p.add_argument_group("static memory (see docs/architecture.md)")
     mem.add_argument("--static-memory", action="store_true",
                      help="record each step shape's buffer lifetimes once and "
@@ -205,8 +202,6 @@ def cmd_train(args) -> int:
                                bucket_bytes=args.bucket_bytes,
                                overlap=args.overlap,
                                fault_plan=fault_plan,
-                               recv_timeout=(args.recv_timeout
-                                             if fault_plan else None),
                                checkpoint_dir=args.checkpoint_dir,
                                static_memory=static_memory)
         res = train_sync_sgd(builder, opt_builder, schedule,

@@ -25,10 +25,10 @@ Fault tolerance (``docs/architecture.md``, "Failure model & recovery"):
 supplying a :class:`repro.faults.FaultPlan` in the config arms the fault
 injector and the recovery machinery.  Message loss/corruption/delay are
 absorbed by the reliable link layer (values exact, time lost); a rank crash
-is detected by the survivors (transport dead-set + recv timeouts + the
-failure detector), the attempt is halted in bounded time, and training
-restarts from the latest periodic checkpoint with the surviving P−k ranks
-and re-sharded batches — or aborts cleanly with a structured
+reaches the survivors through the transport dead set (a deadlock among them
+through the fabric's wait table), the attempt is halted at once, and
+training restarts from the latest periodic checkpoint with the surviving
+P−k ranks and re-sharded batches — or aborts cleanly with a structured
 :class:`repro.faults.FaultReport` when recovery is disabled or impossible.
 Because the global-batch gradient is a sum over shards, re-sharding across
 fewer ranks preserves the mathematics: a recovered run (no BatchNorm)
@@ -50,10 +50,8 @@ from ..comm import (
     ClusterHalted,
     Communicator,
     FabricTimeout,
-    FailureDetector,
     NetworkProfile,
     PeerDeadError,
-    PeerStatus,
     RankKilled,
     RetransmitExhausted,
     run_cluster,
@@ -137,8 +135,9 @@ class SyncSGDConfig:
         Optional :class:`repro.faults.FaultPlan`; arms fault injection and
         the recovery machinery below.
     recv_timeout:
-        Wall-clock seconds a blocking receive waits before raising the
-        typed ``FabricTimeout`` (``None`` = the communicator default).
+        Ignored.  Receives wait on fabric state, not on a wall clock: a
+        dead peer, a halt or a deadlock ends them (see
+        :mod:`repro.comm.fabric`).
     checkpoint_every:
         Epochs between recovery snapshots while a fault plan is armed.
     checkpoint_dir:
@@ -241,10 +240,6 @@ class SyncSGDConfig:
             )
         if self.max_recoveries < 0:
             raise ValueError("max_recoveries must be non-negative")
-        if self.recv_timeout is not None and self.recv_timeout <= 0:
-            raise ValueError(
-                f"recv_timeout must be positive (got {self.recv_timeout})"
-            )
         if self.restart_overhead_seconds < 0:
             raise ValueError("restart_overhead_seconds must be non-negative")
 
@@ -606,7 +601,6 @@ def train_sync_sgd(
             return body
 
         def worker(comm: Communicator):
-            comm.detector = FailureDetector(comm.fabric, comm.rank)
             try:
                 return body(comm)
             except RankKilled as exc:
@@ -614,29 +608,10 @@ def train_sync_sgd(
                 comm.fabric.mark_dead(comm.rank)
                 return {"fault": "killed", "rank": comm.rank,
                         "iteration": exc.iteration}
-            except FabricTimeout as exc:
-                injector.stats.count_timeout()
-                verdict = comm.detector.diagnose_timeout(exc)
-                comm.fabric.halt(
-                    f"rank {comm.rank}: peer {exc.src} {verdict} "
-                    f"(recv timeout)"
-                )
+            except (FabricTimeout, PeerDeadError, RetransmitExhausted) as exc:
+                comm.fabric.halt(str(exc))
                 return {"fault": "aborted", "rank": comm.rank,
-                        "cause": f"timeout waiting for rank {exc.src} "
-                                 f"({verdict})",
-                        "suspect": exc.src if verdict == PeerStatus.SUSPECT
-                        else None}
-            except PeerDeadError as exc:
-                comm.fabric.halt(f"rank {comm.rank}: peer {exc.src} dead")
-                return {"fault": "aborted", "rank": comm.rank,
-                        "cause": f"peer rank {exc.src} dead", "suspect": None}
-            except RetransmitExhausted as exc:
-                comm.fabric.halt(
-                    f"rank {comm.rank}: link to rank {exc.dst} down"
-                )
-                return {"fault": "aborted", "rank": comm.rank,
-                        "cause": f"retransmits to rank {exc.dst} exhausted",
-                        "suspect": exc.dst}
+                        "cause": str(exc)}
             except ClusterHalted as exc:
                 return {"fault": "halted", "rank": comm.rank,
                         "cause": exc.reason}
@@ -667,8 +642,7 @@ def train_sync_sgd(
         worker = make_worker(world, start_epoch, model_state, opt_state,
                              injector, store, cfg)
         results, fabric = run_cluster(world, worker, profile=cfg.profile,
-                                      injector=injector,
-                                      recv_timeout=cfg.recv_timeout)
+                                      injector=injector)
         if fault_tolerant:
             total_stats.merge(injector.stats)
         total_messages += fabric.stats.messages
@@ -713,9 +687,9 @@ def train_sync_sgd(
             cfg.on_failure == "recover"
             and recoveries < cfg.max_recoveries
             and survivors >= 1
-            and len(dead) > 0  # a pure timeout with no confirmed death is
-            # indistinguishable from a partitioned-but-alive peer: restarting
-            # would fork the cluster, so abort instead
+            and len(dead) > 0  # a deadlock or an exhausted link with no
+            # confirmed death leaves no rank to drop: a restart at the same
+            # world would fail the same way, so abort instead
         )
         if not recoverable:
             report = FaultReport(

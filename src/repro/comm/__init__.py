@@ -19,8 +19,7 @@ from .collectives import (
     reduce_cost,
     reduce_tree,
 )
-from .communicator import DEFAULT_RECV_TIMEOUT, Communicator, run_cluster
-from .detector import FailureDetector, PeerStatus
+from .communicator import Communicator, run_cluster
 from .errors import (
     ClusterHalted,
     FabricTimeout,
@@ -41,14 +40,11 @@ __all__ = [
     "Envelope",
     "Communicator",
     "run_cluster",
-    "DEFAULT_RECV_TIMEOUT",
     "FabricTimeout",
     "PeerDeadError",
     "ClusterHalted",
     "RetransmitExhausted",
     "RankKilled",
-    "FailureDetector",
-    "PeerStatus",
     "RetransmitPolicy",
     "Request",
     "SendRequest",

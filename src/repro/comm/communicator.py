@@ -15,6 +15,7 @@ collectives so back-to-back operations can never cross-match.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,36 +32,20 @@ _COLLECTIVE_TAG_BASE = 1 << 20
 _TAGS_PER_COLLECTIVE = 8
 
 
-#: default wall-clock patience of a blocking receive (seconds)
-DEFAULT_RECV_TIMEOUT = 60.0
-
-
 class Communicator:
     """Rank-local handle to the simulated cluster.
 
-    ``recv_timeout`` bounds every blocking receive (wall-clock seconds);
-    a peer that stays silent that long raises a typed
-    :class:`repro.comm.errors.FabricTimeout` instead of hanging the rank
-    forever.  An optional :class:`repro.comm.detector.FailureDetector`
-    is fed a heartbeat on every successful receive.
+    Blocking receives wait on fabric state alone: a peer's message, its
+    death, a halt, or a deadlock among the running ranks (see
+    :mod:`repro.comm.fabric`).
     """
 
-    def __init__(
-        self,
-        fabric: SimulatedFabric,
-        rank: int,
-        recv_timeout: float | None = None,
-        detector=None,
-    ):
+    def __init__(self, fabric: SimulatedFabric, rank: int):
         if not 0 <= rank < fabric.size:
             raise ValueError(f"rank {rank} out of range")
         self.fabric = fabric
         self.rank = rank
         self.size = fabric.size
-        self.recv_timeout = (
-            DEFAULT_RECV_TIMEOUT if recv_timeout is None else recv_timeout
-        )
-        self.detector = detector
         self._seq = 0
 
     # -- local time --------------------------------------------------------------
@@ -97,13 +82,9 @@ class Communicator:
         """Post a nonblocking receive; complete it via ``test``/``wait``."""
         return RecvRequest(self, src, tag=tag)
 
-    def recv(self, src: int, tag: int = 0, timeout: float | None = None):
-        """Blocking receive; ``timeout`` overrides the communicator default."""
-        effective = self.recv_timeout if timeout is None else timeout
-        payload = self.fabric.recv(self.rank, src, tag=tag, timeout=effective)
-        if self.detector is not None:
-            self.detector.observe(src, self.time)
-        return payload
+    def recv(self, src: int, tag: int = 0):
+        """Blocking receive (see :meth:`SimulatedFabric.recv`)."""
+        return self.fabric.recv(self.rank, src, tag=tag)
 
     # -- collectives ---------------------------------------------------------------
     def _next_tag(self) -> int:
@@ -191,7 +172,6 @@ def run_cluster(
     profile: NetworkProfile | None = None,
     timeout: float = 300.0,
     injector=None,
-    recv_timeout: float | None = None,
 ) -> tuple[list, SimulatedFabric]:
     """Run ``worker(comm)`` on ``size`` simulated ranks (one thread each).
 
@@ -199,12 +179,15 @@ def run_cluster(
     and ``stats`` carry the simulated time and communication volume).
 
     A rank that raises halts the fabric at once, so peers blocked in
-    ``recv`` unwind with :class:`ClusterHalted` instead of waiting out their
-    timeout.  After all threads stop, the first rank's own error is
-    re-raised — ahead of the ``ClusterHalted`` its peers saw.
+    ``recv`` unwind with :class:`ClusterHalted`.  Ranks left blocked only on
+    each other raise :class:`FabricTimeout` as soon as the last running rank
+    blocks or finishes.  After all threads stop, the first rank's own error
+    is re-raised — ahead of the ``ClusterHalted`` its peers saw.
 
-    ``injector`` installs a :class:`repro.faults.FaultInjector` on the
-    fabric; ``recv_timeout`` bounds every blocking receive.
+    ``timeout`` is the one wall-clock bound, for a rank stuck in compute:
+    once that many seconds pass, the fabric is halted and a ``TimeoutError``
+    names every rank still unfinished.  ``injector`` installs a
+    :class:`repro.faults.FaultInjector` on the fabric.
     """
     fabric = SimulatedFabric(size, profile, injector=injector)
     results: list = [None] * size
@@ -212,24 +195,30 @@ def run_cluster(
 
     def target(rank: int) -> None:
         try:
-            results[rank] = worker(
-                Communicator(fabric, rank, recv_timeout=recv_timeout)
-            )
+            results[rank] = worker(Communicator(fabric, rank))
         except BaseException as exc:  # noqa: BLE001 - propagated below
             errors[rank] = exc
             if not isinstance(exc, ClusterHalted):
                 fabric.halt(f"rank {rank} raised {type(exc).__name__}: {exc}")
+        finally:
+            fabric.mark_finished(rank)
 
     threads = [
         threading.Thread(target=target, args=(r,), name=f"rank-{r}", daemon=True)
         for r in range(size)
     ]
+    fabric.mark_running(range(size))
+    deadline = time.monotonic() + timeout
     for t in threads:
         t.start()
     for t in threads:
-        t.join(timeout)
-        if t.is_alive():
-            raise TimeoutError(f"simulated rank {t.name} did not finish")
+        t.join(max(deadline - time.monotonic(), 0.0))
+    hung = ", ".join(t.name for t in threads if t.is_alive())
+    if hung:
+        fabric.halt(f"{hung} did not finish within {timeout} s")
+        raise TimeoutError(
+            f"simulated rank(s) {hung} did not finish within {timeout} s"
+        )
     raised = [e for e in errors if e is not None]
     if raised:
         # the lowest rank's own error wins over the ClusterHalted it caused

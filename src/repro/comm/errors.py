@@ -1,18 +1,16 @@
 """Typed failure exceptions for the simulated communication stack.
 
-The fault-tolerance machinery distinguishes three transport-level outcomes
-that plain ``TimeoutError`` conflated:
+The fault-tolerance machinery distinguishes these transport-level outcomes:
 
-* :class:`FabricTimeout` — a ``recv`` waited its full timeout and nothing
-  arrived.  The peer may be dead, slow, or the message may have been lost;
-  the caller consults the :class:`repro.comm.detector.FailureDetector` to
-  decide.
+* :class:`FabricTimeout` — a ``recv`` that can never complete: every rank
+  still running is blocked on a message none of them can send.  It carries
+  the whole wait-for graph.
 * :class:`PeerDeadError` — the transport *knows* the peer is gone (its
   thread exited and tore the connection down, like a TCP RST after a
-  process crash).  Raised immediately, without burning the timeout.
+  process crash).
 * :class:`ClusterHalted` — some rank called :meth:`SimulatedFabric.halt`
   (the moral equivalent of ``MPI_Abort``); every blocked ``recv`` wakes and
-  raises this so the whole attempt unwinds in bounded time.
+  raises this so the whole attempt unwinds at once.
 * :class:`RetransmitExhausted` — the reliable link layer gave up on a
   message after its bounded retry budget; the sender treats the peer as
   unreachable.
@@ -33,16 +31,24 @@ __all__ = [
 
 
 class FabricTimeout(TimeoutError):
-    """``recv`` timed out: no message and no transport-level diagnosis."""
+    """A deadlocked ``recv``: no running rank is left that could send it.
 
-    def __init__(self, dst: int, src: int, tag: int, timeout: float):
+    ``dst``/``src``/``tag`` name this rank's own wait; ``waits`` is the
+    wait-for graph at detection, ``{blocked rank: (src, tag)}``.
+    """
+
+    def __init__(self, dst: int, src: int, tag: int,
+                 waits: dict[int, tuple[int, int]]):
         self.dst = dst
         self.src = src
         self.tag = tag
-        self.timeout = timeout
+        self.waits = dict(waits)
+        blocked = "; ".join(
+            f"rank {d} <- (src={s}, tag={t})" for d, (s, t) in sorted(waits.items())
+        )
         super().__init__(
-            f"rank {dst} timed out after {timeout}s waiting for "
-            f"(src={src}, tag={tag})"
+            f"rank {dst} deadlocked waiting for (src={src}, tag={tag}); "
+            f"blocked receives: {blocked}"
         )
 
 

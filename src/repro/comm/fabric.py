@@ -16,19 +16,28 @@ the profiles for the paper's interconnects (Table 11) live in
 The fabric also keeps global message/byte counters — the quantities
 Figures 9 and 10 plot.
 
-Fault tolerance hooks (see ``docs/architecture.md``, "Failure model &
-recovery"):
+Liveness comes from the fabric's own state, never from a wall clock.  A
+``recv`` blocks until one of these holds:
 
-* an optional :class:`repro.faults.FaultInjector` prices message loss,
-  checksum-detected corruption, and delay into arrival times (reliable-link
-  retransmit semantics: values exact, time lost);
-* ``mark_dead(rank)`` is the transport-level crash notification (a dying
-  rank's connections reset); a ``recv`` from a dead peer raises
-  :class:`PeerDeadError` instead of burning its timeout;
-* ``halt()`` is ``MPI_Abort``: every blocked ``recv`` wakes with
-  :class:`ClusterHalted`, so a failed step unwinds in bounded wall time;
-* ``recv(timeout=...)`` raises the typed :class:`FabricTimeout` (a
-  ``TimeoutError`` subclass) instead of blocking forever.
+* its message exists;
+* its source is dead: ``mark_dead(rank)`` is the transport-level crash
+  notification (a dying rank's connections reset), and the receive raises
+  :class:`PeerDeadError`;
+* the fabric is halted: ``halt()`` is ``MPI_Abort``, and every blocked
+  ``recv`` wakes with :class:`ClusterHalted`;
+* every rank still running is blocked on a message that none of them can
+  send.  That is a deadlock, and every blocked rank raises
+  :class:`FabricTimeout` at once, carrying the whole wait-for graph.
+
+:func:`repro.comm.run_cluster` registers its ranks as running and marks
+each one finished when its worker returns or raises.  A fabric driven
+without it has no other running rank, so a receive that cannot be
+satisfied raises at once.
+
+An optional :class:`repro.faults.FaultInjector` prices message loss,
+checksum-detected corruption, and delay into arrival times (reliable-link
+retransmit semantics: values exact, time lost).  See
+``docs/architecture.md``, "Failure model & recovery".
 """
 
 from __future__ import annotations
@@ -99,7 +108,8 @@ class Envelope:
 
 @dataclass
 class FabricStats:
-    """Global communication counters (Figures 9/10)."""
+    """Global communication counters (Figures 9/10); the fabric lock
+    guards them."""
 
     messages: int = 0
     bytes: int = 0
@@ -140,7 +150,13 @@ class SimulatedFabric:
     asynchronous-with-timing (the sender's clock advances by the transfer
     time, matching blocking MPI sends of rendezvous-sized gradient
     messages); ``recv`` blocks the calling thread until the payload exists,
-    the peer is known dead, the fabric is halted, or the timeout fires.
+    the peer is known dead, the fabric is halted, or a deadlock leaves no
+    running rank that could send it.
+
+    One lock guards the mailboxes, the dead set, the halt flag, the stats
+    and the wait table ``{blocked rank: (src, tag)}``.  Each rank sleeps on
+    its own condition of that lock, so a delivery wakes only its
+    destination.
     """
 
     def __init__(self, size: int, profile: NetworkProfile | None = None,
@@ -156,11 +172,17 @@ class SimulatedFabric:
         self._mailboxes: list[dict[tuple[int, int], deque[Envelope]]] = [
             defaultdict(deque) for _ in range(size)
         ]
-        self._conditions = [threading.Condition() for _ in range(size)]
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._wakeups = [threading.Condition(self._lock) for _ in range(size)]
         self._dead: set[int] = set()
         self._halted = False
         self._halt_reason = ""
+        #: ranks whose worker has not returned yet (see :meth:`mark_running`)
+        self._running: set[int] = set()
+        #: blocked rank -> the (src, tag) it waits for
+        self._waits: dict[int, tuple[int, int]] = {}
+        #: deadlocked rank -> the wait-for graph it raises with
+        self._doomed: dict[int, dict[int, tuple[int, int]]] = {}
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
@@ -170,7 +192,8 @@ class SimulatedFabric:
     @property
     def dead_ranks(self) -> set[int]:
         """Ranks the transport knows have crashed (fail-stop)."""
-        return set(self._dead)
+        with self._lock:
+            return set(self._dead)
 
     @property
     def halted(self) -> bool:
@@ -179,21 +202,56 @@ class SimulatedFabric:
     def mark_dead(self, rank: int) -> None:
         """Transport-level crash notification: ``rank`` will never send
         again.  Wakes every blocked ``recv`` so waits on the dead peer fail
-        fast instead of burning their timeout."""
+        at once."""
         self._check_rank(rank)
-        self._dead.add(rank)
-        for cond in self._conditions:
-            with cond:
-                cond.notify_all()
+        with self._lock:
+            self._dead.add(rank)
+            self._wake_all()
 
     def halt(self, reason: str = "") -> None:
         """MPI_Abort: wake every blocked ``recv`` with ClusterHalted."""
-        self._halted = True
-        if reason and not self._halt_reason:
-            self._halt_reason = reason
-        for cond in self._conditions:
-            with cond:
-                cond.notify_all()
+        with self._lock:
+            self._halted = True
+            if reason and not self._halt_reason:
+                self._halt_reason = reason
+            self._wake_all()
+
+    def _wake_all(self) -> None:
+        for cond in self._wakeups:
+            cond.notify_all()
+
+    # -- liveness ---------------------------------------------------------------
+    def mark_running(self, ranks) -> None:
+        """Register the ranks whose workers are about to start; each counts
+        as a possible sender until :meth:`mark_finished`."""
+        with self._lock:
+            self._running.update(ranks)
+
+    def mark_finished(self, rank: int) -> None:
+        """``rank``'s worker returned or raised, so it sends nothing more;
+        peers left waiting only on each other are now deadlocked."""
+        with self._lock:
+            self._running.discard(rank)
+            self._detect_deadlock()
+
+    def _satisfiable(self, dst: int, src: int, tag: int) -> bool:
+        return (self._halted or src in self._dead
+                or bool(self._mailboxes[dst].get((src, tag))))
+
+    def _detect_deadlock(self) -> None:
+        """Lock held.  If every running rank is blocked on a receive that
+        nothing queued, no death and no halt can satisfy, no rank is left
+        to send any of them: every blocked rank raises with the graph."""
+        waits = self._waits
+        if not waits or not self._running <= waits.keys():
+            return
+        if any(self._satisfiable(d, s, t) for d, (s, t) in waits.items()):
+            return
+        graph = dict(waits)
+        waits.clear()
+        for rank in graph:
+            self._doomed[rank] = graph
+            self._wakeups[rank].notify()
 
     def _fault_delay(self, src: int, dst: int) -> float:
         """Extra arrival delay from injected faults (0 when no injector).
@@ -223,10 +281,12 @@ class SimulatedFabric:
             payload = payload.copy()
         nbytes = payload_nbytes(payload)
         arrival = arrival_of(nbytes, self._fault_delay(src, dst))
-        with self._stats_lock:
+        with self._lock:
             self.stats.record(nbytes)
+            self._mailboxes[dst][(src, tag)].append(
+                Envelope(payload, nbytes, arrival, src, tag))
+            self._wakeups[dst].notify()
         _record_message(kind, nbytes)
-        self._deliver(Envelope(payload, nbytes, arrival, src, tag), dst)
         return arrival
 
     def isend(self, src: int, dst: int, payload, tag: int = 0) -> None:
@@ -278,12 +338,6 @@ class SimulatedFabric:
 
         self._send("send", src, dst, payload, tag, arrival)
 
-    def _deliver(self, env: Envelope, dst: int) -> None:
-        cond = self._conditions[dst]
-        with cond:
-            self._mailboxes[dst][(env.src, env.tag)].append(env)
-            cond.notify_all()
-
     def poll(self, dst: int, src: int, tag: int = 0) -> Envelope | None:
         """Nonblocking mailbox check: pop and return the next envelope on
         ``(src, tag)`` if one is queued, else ``None``.  Never blocks and
@@ -295,21 +349,17 @@ class SimulatedFabric:
         """
         self._check_rank(src)
         self._check_rank(dst)
-        cond = self._conditions[dst]
-        key = (src, tag)
-        box = self._mailboxes[dst]
-        with cond:
+        with self._lock:
             if self._halted:
                 raise ClusterHalted(dst, self._halt_reason)
-            if len(box[key]) > 0:
-                return box[key].popleft()
+            queue = self._mailboxes[dst].get((src, tag))
+            if queue:
+                return queue.popleft()
             if src in self._dead:
                 raise PeerDeadError(dst, src, tag)
             return None
 
-    def recv_envelope(
-        self, dst: int, src: int, tag: int = 0, timeout: float = 60.0
-    ) -> Envelope:
+    def recv_envelope(self, dst: int, src: int, tag: int = 0) -> Envelope:
         """Blocking receive returning the raw :class:`Envelope` without
         merging its arrival time into ``dst``'s clock.
 
@@ -317,40 +367,39 @@ class SimulatedFabric:
         operation consumes arrival times on its own pipeline clock and only
         merges into the rank clock when the caller *waits* on the result.
 
-        Raises :class:`FabricTimeout` after ``timeout`` wall seconds,
-        :class:`PeerDeadError` as soon as ``src`` is known dead (in-flight
-        messages are still drained first), and :class:`ClusterHalted` if
-        any rank aborted the job.
+        Raises :class:`PeerDeadError` as soon as ``src`` is known dead
+        (in-flight messages are still drained first),
+        :class:`ClusterHalted` if any rank aborted the job, and
+        :class:`FabricTimeout` when every running rank is blocked on a
+        message none of them can send.
         """
         self._check_rank(src)
         self._check_rank(dst)
-        cond = self._conditions[dst]
-        key = (src, tag)
         box = self._mailboxes[dst]
+        with self._lock:
+            while True:
+                graph = self._doomed.pop(dst, None)
+                if graph is not None:
+                    raise FabricTimeout(dst, src, tag, graph)
+                if self._halted:
+                    raise ClusterHalted(dst, self._halt_reason)
+                queue = box.get((src, tag))
+                if queue:
+                    return queue.popleft()
+                if src in self._dead:
+                    raise PeerDeadError(dst, src, tag)
+                self._waits[dst] = (src, tag)
+                self._detect_deadlock()
+                if dst not in self._doomed:
+                    self._wakeups[dst].wait()
+                self._waits.pop(dst, None)
 
-        def ready() -> bool:
-            return len(box[key]) > 0 or self._halted or src in self._dead
-
-        with cond:
-            ok = cond.wait_for(ready, timeout)
-            if self._halted:
-                raise ClusterHalted(dst, self._halt_reason)
-            if len(box[key]) > 0:
-                return box[key].popleft()
-            if src in self._dead:
-                raise PeerDeadError(dst, src, tag)
-            assert not ok
-            raise FabricTimeout(dst, src, tag, timeout)
-
-    def recv(self, dst: int, src: int, tag: int = 0, timeout: float = 60.0):
+    def recv(self, dst: int, src: int, tag: int = 0):
         """Blocking receive; merges the arrival time into dst's clock.
 
-        Raises :class:`FabricTimeout` after ``timeout`` wall seconds,
-        :class:`PeerDeadError` as soon as ``src`` is known dead (in-flight
-        messages are still drained first), and :class:`ClusterHalted` if
-        any rank aborted the job.
+        Raises like :meth:`recv_envelope`.
         """
-        env = self.recv_envelope(dst, src, tag=tag, timeout=timeout)
+        env = self.recv_envelope(dst, src, tag=tag)
         self.clocks[dst].merge(env.arrival_time)
         return env.payload
 

@@ -64,7 +64,7 @@ class Request:
     def test(self) -> bool:
         raise NotImplementedError
 
-    def wait(self, timeout: float | None = None):
+    def wait(self):
         raise NotImplementedError
 
     @property
@@ -82,7 +82,7 @@ class SendRequest(Request):
     def test(self) -> bool:
         return True
 
-    def wait(self, timeout: float | None = None):
+    def wait(self):
         return None
 
     @property
@@ -118,8 +118,6 @@ class RecvRequest(Request):
         self._payload = env.payload
         self._done = True
         self._comm.fabric.clocks[self._comm.rank].merge(env.arrival_time)
-        if self._comm.detector is not None:
-            self._comm.detector.observe(self._src, self._comm.time)
 
     def test(self) -> bool:
         if self._done:
@@ -130,13 +128,10 @@ class RecvRequest(Request):
         self._complete(env)
         return True
 
-    def wait(self, timeout: float | None = None):
+    def wait(self):
         if not self._done:
-            effective = self._comm.recv_timeout if timeout is None else timeout
-            env = self._comm.fabric.recv_envelope(
-                self._comm.rank, self._src, tag=self._tag, timeout=effective
-            )
-            self._complete(env)
+            self._complete(self._comm.fabric.recv_envelope(
+                self._comm.rank, self._src, tag=self._tag))
         return self._payload
 
 
@@ -231,17 +226,11 @@ class AllreduceRequest(Request):
             self._consume(env)
         return True
 
-    def wait(self, timeout: float | None = None) -> np.ndarray:
+    def wait(self) -> np.ndarray:
         """Block until complete; merge completion into the rank clock and
         return the reduced array."""
-        effective = self._comm.recv_timeout if timeout is None else timeout
         while not self._done:
             src, tag = self._need
-            env = self._fabric.recv_envelope(
-                self._comm.rank, src, tag=tag, timeout=effective
-            )
-            if self._comm.detector is not None:
-                self._comm.detector.observe(src, self._comm.time)
-            self._consume(env)
+            self._consume(self._fabric.recv_envelope(self.rank, src, tag=tag))
         self._fabric.clocks[self.rank].merge(self._op_time)
         return self._result

@@ -56,7 +56,6 @@ def _run_one(
         compute_time=lambda k: 1e-4 * k,
         shuffle_seed=seed,
         fault_plan=plan,
-        recv_timeout=10.0,
         checkpoint_every=1,
         restart_overhead_seconds=1.0 if plan and plan.kills else 0.0,
     )

@@ -12,8 +12,8 @@ The pieces, bottom-up:
 * :class:`FaultReport` / :class:`TrainingAborted` — structured post-mortem
   when a run recovers from, or dies to, an unsurvivable fault.
 
-Recovery itself (timeouts, failure detection, checkpoint-restore with
-P−1 ranks) lives in :mod:`repro.comm` and :mod:`repro.cluster.sync_sgd`;
+Recovery itself (the transport dead set, deadlock detection,
+checkpoint-restore with P−1 ranks) lives in :mod:`repro.comm` and :mod:`repro.cluster.sync_sgd`;
 see ``docs/architecture.md`` ("Failure model & recovery").
 """
 

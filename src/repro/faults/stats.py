@@ -60,10 +60,6 @@ class FaultStats:
         with self._lock:
             self.ranks_killed += 1
 
-    def count_timeout(self) -> None:
-        with self._lock:
-            self.timeouts_fired += 1
-
     def merge(self, other: "FaultStats") -> None:
         """Accumulate ``other`` (one attempt's counters) into this record."""
         with self._lock:

@@ -14,7 +14,7 @@ layer that produces that breakdown for every engine in the repo:
     Counter/Gauge/Histogram/Timer registry with labeled series,
     log-spaced latency buckets, and JSON/CSV snapshot export.
 :mod:`repro.obs.events`
-    Event bus the fault injector, failure detector, and checkpoint-restore
+    Event bus the fault injector and the recovery and checkpoint-restore
     paths publish to; events mirror into the trace as instant marks.
 :mod:`repro.obs.console`
     Level-filtered stdout/stderr writer behind the CLI's

@@ -115,7 +115,6 @@ def run_traced_demo(
         compute_time=lambda k: 1e-4 * k,
         shuffle_seed=seed,
         fault_plan=plan,
-        recv_timeout=10.0,
         bucket_bytes=bucket_bytes,
         overlap=overlap,
     )

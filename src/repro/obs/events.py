@@ -1,8 +1,8 @@
-"""Event bus: fault, detector, and checkpoint activity on one timeline.
+"""Event bus: fault, recovery, and checkpoint activity on one timeline.
 
-PR 1's failure machinery (injector, failure detector, elastic restart) and
-the checkpoint path each kept their own private accounting; this bus gives
-them one publication point so a fault shows up *in the same trace* as the
+The failure machinery (injector, elastic restart) and the checkpoint path
+each kept their own private accounting; this bus gives them one
+publication point so a fault shows up *in the same trace* as the
 compute it perturbed — the view you need to answer "why was iteration 412
 slow" (a retransmit storm looks identical to a straggler in aggregate
 counters, and completely different on a timeline).
@@ -20,7 +20,6 @@ Event kinds published by the instrumented paths
 ``fault.straggle``         straggler multiplier stretched a compute phase
 ``fault.kill``             a rank's fail-stop crash fired
 ``fault.link_down``        retransmit budget exhausted, link declared dead
-``detector.verdict``       failure-detector diagnosis after a recv timeout
 ``checkpoint.save``        recovery snapshot captured (and optionally on disk)
 ``recovery.restart``       elastic restart with the surviving ranks
 ``recovery.abort``         failed step could not be recovered; job aborted

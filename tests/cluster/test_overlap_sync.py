@@ -45,7 +45,6 @@ def _run(world=4, algorithm="tree", bucket_bytes=None, overlap=False,
         world=world, epochs=epochs, batch_size=32, algorithm=algorithm,
         bucket_bytes=bucket_bytes, overlap=overlap, fault_plan=fault_plan,
         profile=profile, compute_time=compute_time, shuffle_seed=SEED,
-        recv_timeout=10.0 if fault_plan is not None else None,
     )
     return train_sync_sgd(_mlp_builder, _sgd, ConstantLR(0.1),
                           _X, _Y, _X[:16], _Y[:16], config)

@@ -181,9 +181,9 @@ class TestOtherCollectives:
 class TestFailFast:
     @pytest.mark.parametrize("raiser", [0, 1])
     def test_raising_rank_unwinds_blocked_peer(self, raiser):
-        """A rank that raises halts the fabric: its peer, blocked in recv
-        under the default 60 s timeout, unwinds at once, and the original
-        error surfaces rather than the peer's ClusterHalted."""
+        """A rank that raises halts the fabric: its peer, blocked in recv,
+        unwinds at once, and the original error surfaces rather than the
+        peer's ClusterHalted."""
 
         def worker(c):
             if c.rank == raiser:

@@ -1,9 +1,19 @@
 """Communicator / run_cluster harness behaviour."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.comm import Communicator, NetworkProfile, SimulatedFabric, run_cluster
+from repro.comm import (
+    ClusterHalted,
+    Communicator,
+    FabricTimeout,
+    NetworkProfile,
+    SimulatedFabric,
+    run_cluster,
+)
 
 
 def test_rank_and_size_exposed():
@@ -101,5 +111,39 @@ def test_timeout_on_hung_rank():
         return None
 
     with pytest.raises((TimeoutError,)):
-        # fabric recv timeout (60s) is bypassed by run_cluster's own timeout
+        # rank 1 returns, so rank 0's wait is a deadlock: FabricTimeout
         run_cluster(2, worker, timeout=0.2)
+
+
+def test_watchdog_halts_peers_of_a_rank_stuck_in_compute():
+    """``run_cluster(timeout=)`` is the one wall-clock bound: one deadline
+    for every join, a halt that unwinds the peers, and every unfinished
+    rank named."""
+    release = threading.Event()
+    exited = {1: threading.Event(), 2: threading.Event()}
+    outcomes = {}
+
+    def worker(c):
+        if c.rank == 0:
+            while not release.wait(0.01):  # busy in compute, never blocks
+                pass
+            return None
+        try:
+            return c.recv(0)
+        except BaseException as exc:
+            outcomes[c.rank] = exc
+            raise
+        finally:
+            exited[c.rank].set()
+
+    start = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError, match="rank-0") as exc_info:
+            run_cluster(3, worker, timeout=0.2)
+        assert time.monotonic() - start < 1.0
+        assert not isinstance(exc_info.value, FabricTimeout)
+        for rank in (1, 2):
+            assert exited[rank].wait(1.0)
+            assert isinstance(outcomes[rank], ClusterHalted)
+    finally:
+        release.set()

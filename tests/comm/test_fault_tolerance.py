@@ -1,7 +1,6 @@
-"""Transport-level fault tolerance: typed timeouts, death notification,
-halt, the failure detector, and fault pricing on the fabric."""
+"""Transport-level fault tolerance: typed deadlock errors, death
+notification, halt, and fault pricing on the fabric."""
 
-import threading
 import time
 
 import numpy as np
@@ -11,10 +10,8 @@ from repro.comm import (
     ClusterHalted,
     Communicator,
     FabricTimeout,
-    FailureDetector,
     NetworkProfile,
     PeerDeadError,
-    PeerStatus,
     SimulatedFabric,
     run_cluster,
 )
@@ -23,26 +20,17 @@ from repro.faults import FaultInjector, FaultPlan
 
 class TestTypedTimeout:
     def test_recv_timeout_is_typed_and_carries_context(self):
+        """A bare fabric has no other running rank, so a receive nothing
+        can satisfy raises at once."""
         f = SimulatedFabric(2)
+        start = time.monotonic()
         with pytest.raises(FabricTimeout) as exc_info:
-            f.recv(1, 0, tag=7, timeout=0.05)
+            f.recv(1, 0, tag=7)
+        assert time.monotonic() - start < 1.0
         exc = exc_info.value
         assert exc.dst == 1 and exc.src == 0 and exc.tag == 7
+        assert exc.waits == {1: (0, 7)}
         assert isinstance(exc, TimeoutError)  # old except clauses still work
-
-    def test_communicator_recv_timeout_override(self):
-        f = SimulatedFabric(2)
-        comm = Communicator(f, 1, recv_timeout=30.0)
-        start = time.monotonic()
-        with pytest.raises(FabricTimeout):
-            comm.recv(0, timeout=0.05)
-        assert time.monotonic() - start < 5.0
-
-    def test_communicator_default_recv_timeout(self):
-        f = SimulatedFabric(2)
-        comm = Communicator(f, 1, recv_timeout=0.05)
-        with pytest.raises(FabricTimeout):
-            comm.recv(0)
 
 
 class TestDeathNotification:
@@ -51,111 +39,59 @@ class TestDeathNotification:
         f.mark_dead(0)
         start = time.monotonic()
         with pytest.raises(PeerDeadError):
-            f.recv(1, 0, timeout=60.0)  # must not wait the 60 s
+            f.recv(1, 0)
         assert time.monotonic() - start < 5.0
 
     def test_mark_dead_wakes_blocked_receiver(self):
-        f = SimulatedFabric(2)
-        caught = []
-
-        def receiver():
+        def worker(comm):
+            if comm.rank == 0:
+                time.sleep(0.05)  # let rank 1 block first
+                comm.fabric.mark_dead(0)
+                return None
             try:
-                f.recv(1, 0, timeout=60.0)
+                comm.recv(0)
             except PeerDeadError as exc:
-                caught.append(exc)
+                return exc
 
-        t = threading.Thread(target=receiver, daemon=True)
-        t.start()
-        time.sleep(0.05)
-        f.mark_dead(0)
-        t.join(5.0)
-        assert not t.is_alive()
-        assert caught and caught[0].src == 0
+        results, _ = run_cluster(2, worker, timeout=5.0)
+        assert isinstance(results[1], PeerDeadError) and results[1].src == 0
 
     def test_in_flight_messages_drain_before_death_error(self):
         f = SimulatedFabric(2)
         f.send(0, 1, np.arange(3.0))
         f.mark_dead(0)
-        assert np.array_equal(f.recv(1, 0, timeout=1.0), np.arange(3.0))
+        assert np.array_equal(f.recv(1, 0), np.arange(3.0))
         with pytest.raises(PeerDeadError):
-            f.recv(1, 0, timeout=1.0)
+            f.recv(1, 0)
+
+    def test_survivors_agree_on_dead_set(self):
+        f = SimulatedFabric(4)
+        f.mark_dead(2)
+        assert f.dead_ranks == {2}  # one shared set: every survivor sees it
 
 
 class TestHalt:
     def test_halt_wakes_every_blocked_receiver(self):
-        f = SimulatedFabric(4)
-        outcomes = [None] * 3
-
-        def receiver(rank):
+        def worker(comm):
+            if comm.rank == 0:
+                time.sleep(0.05)  # let ranks 1-3 block first
+                comm.fabric.halt("test abort")
+                return None
             try:
-                f.recv(rank, (rank + 1) % 4, timeout=60.0)
+                comm.recv((comm.rank + 1) % 4)
             except ClusterHalted as exc:
-                outcomes[rank - 1] = exc
+                return exc
 
-        threads = [threading.Thread(target=receiver, args=(r,), daemon=True)
-                   for r in (1, 2, 3)]
-        for t in threads:
-            t.start()
-        time.sleep(0.05)
-        f.halt("test abort")
-        for t in threads:
-            t.join(5.0)
-            assert not t.is_alive()
-        assert all(isinstance(o, ClusterHalted) for o in outcomes)
-        assert "test abort" in str(outcomes[0])
+        outcomes, _ = run_cluster(4, worker, timeout=5.0)
+        assert all(isinstance(o, ClusterHalted) for o in outcomes[1:])
+        assert "test abort" in str(outcomes[1])
 
     def test_halt_beats_pending_payload(self):
         f = SimulatedFabric(2)
         f.send(0, 1, 1.0)
         f.halt()
         with pytest.raises(ClusterHalted):
-            f.recv(1, 0, timeout=1.0)
-
-
-class TestFailureDetector:
-    def test_transport_death_is_authoritative(self):
-        f = SimulatedFabric(3)
-        det = FailureDetector(f, rank=0, suspect_after=10.0)
-        assert det.diagnose(1) == PeerStatus.ALIVE
-        f.mark_dead(1)
-        assert det.diagnose(1) == PeerStatus.DEAD
-        assert det.dead_peers() == {1}
-
-    def test_silence_makes_a_suspect_not_a_corpse(self):
-        f = SimulatedFabric(2, NetworkProfile.ideal())
-        det = FailureDetector(f, rank=0, suspect_after=5.0)
-        det.observe(1, 1.0)
-        f.clocks[0].advance(2.0)
-        assert det.diagnose(1) == PeerStatus.ALIVE
-        f.clocks[0].advance(10.0)
-        assert det.diagnose(1) == PeerStatus.SUSPECT
-
-    def test_observe_feeds_silence(self):
-        f = SimulatedFabric(2)
-        det = FailureDetector(f, rank=0)
-        det.observe(1, 3.0)
-        assert det.silence(1, 10.0) == 7.0
-        det.observe(1, 2.0)  # stale observation must not move time backwards
-        assert det.silence(1, 10.0) == 7.0
-
-    def test_communicator_reports_heartbeats(self):
-        def worker(comm):
-            comm.detector = FailureDetector(comm.fabric, comm.rank)
-            if comm.rank == 0:
-                comm.send(1, np.float64(1.0))
-                return None
-            comm.recv(0)
-            return comm.detector.silence(0, comm.time)
-
-        results, _ = run_cluster(2, worker)
-        assert results[1] == 0.0  # heard from rank 0 "just now"
-
-    def test_survivors_agree_on_dead_set(self):
-        f = SimulatedFabric(4)
-        f.mark_dead(2)
-        detectors = [FailureDetector(f, r) for r in (0, 1, 3)]
-        verdicts = {d.diagnose(2) for d in detectors}
-        assert verdicts == {PeerStatus.DEAD}
+            f.recv(1, 0)
 
 
 class TestFaultPricing:
@@ -166,7 +102,7 @@ class TestFaultPricing:
         f = SimulatedFabric(2, self.PROFILE, injector=injector)
         for i in range(300):
             f.send(0, 1, np.ones(64), tag=i)
-            f.recv(1, 0, tag=i, timeout=5.0)
+            f.recv(1, 0, tag=i)
         return f.makespan, injector
 
     def test_message_loss_costs_time_not_values(self):
@@ -200,7 +136,7 @@ class TestFaultPricing:
                                       delay_seconds=2.0))
         f = SimulatedFabric(2, self.PROFILE, injector=inj)
         f.isend(0, 1, np.ones(8))
-        f.recv(1, 0, timeout=5.0)
+        f.recv(1, 0)
         assert f.time_of(1) >= 2.0
 
     def test_collectives_survive_loss_bit_identically(self):
@@ -216,7 +152,6 @@ class TestFaultPricing:
             results, _ = run_cluster(
                 4, worker,
                 injector=FaultInjector(FaultPlan(seed=5, drop_prob=0.05)),
-                recv_timeout=10.0,
             )
             for out in results:
                 np.testing.assert_array_equal(out, results[0])

@@ -80,7 +80,7 @@ class TestGradientExchangeProperty:
 
         one = run()
         bucketed = run(bucket_bytes=bucket_bytes, overlap=overlap)
-        lossy = run(bucket_bytes=bucket_bytes, overlap=overlap, recv_timeout=10.0,
+        lossy = run(bucket_bytes=bucket_bytes, overlap=overlap,
                     fault_plan=FaultPlan(seed=fault_seed, drop_prob=0.1))
         for k in one:
             if algorithm == "ring":  # chunk ownership follows buffer position
