@@ -88,10 +88,10 @@ def _exchange_bench(overlap: bool):
             if overlap:
                 # flush path: begin_step then finish_step launches every
                 # bucket back to back — the multiple-in-flight hot path
-                exchange.begin_step(1.0, 0.0)
+                exchange.begin_step(0.0)
                 exchange.finish_step()
             else:
-                exchange.sync_blocking(1.0)
+                exchange.sync_blocking()
         return exchange.busy_seconds
 
     return lambda: run_cluster(_WORLD, worker)

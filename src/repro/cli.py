@@ -150,11 +150,14 @@ def cmd_train(args) -> int:
     if args.model == "micro_alexnet":
         kwargs["image_size"] = ds.input_shape[-1]
     if args.model == "mlp":
-        model = build_model("mlp", in_features=int(np.prod(ds.input_shape)),
-                            hidden=[64], num_classes=ds.num_classes,
-                            flatten_input=True, seed=args.seed)
-    else:
-        model = build_model(args.model, **kwargs)
+        kwargs.update(in_features=int(np.prod(ds.input_shape)), hidden=[64],
+                      flatten_input=True)
+
+    def builder():
+        """The run's model: the serial trainer's, and each rank's replica."""
+        return build_model(args.model, **kwargs)
+
+    model = builder()
 
     peak = args.base_lr * args.batch / args.base_batch
     ipe = iterations_per_epoch(ds.n_train, min(args.batch, ds.n_train))
@@ -175,15 +178,6 @@ def cmd_train(args) -> int:
 
     if args.world > 1:
         from .cluster import SyncSGDConfig, train_sync_sgd
-
-        model_seed = args.seed
-
-        def builder():
-            if args.model == "mlp":
-                return build_model("mlp", in_features=int(np.prod(ds.input_shape)),
-                                   hidden=[64], num_classes=ds.num_classes,
-                                   flatten_input=True, seed=model_seed)
-            return build_model(args.model, **kwargs)
 
         stragglers = _parse_rank_map(args.straggler, "--straggler", float)
         kills = _parse_rank_map(args.kill, "--kill", int)

@@ -11,7 +11,9 @@ layers.
 This is the cluster's one allreduce-mode gradient exchange.  The
 monolithic exchange — one |W|-element allreduce per step — is the
 one-bucket plan, whose buffer is byte for byte the ``flatten_grads``
-vector.
+vector.  The exchange only sums: every rank has already scaled its loss
+gradient by |shard|/|global batch| before backward, so the sum over ranks
+is the global-batch mean gradient.
 
 Two pieces:
 
@@ -31,7 +33,8 @@ Two pieces:
   ``finish_step`` flush-launches whatever backward never reached (empty
   shards), waits the buckets in plan order, and unpacks the reduced
   gradients.  In blocking mode (``overlap=False``) the same plan runs as
-  sequential per-bucket blocking allreduces (or compressed exchanges).
+  sequential per-bucket blocking allreduces, or compressed exchanges with
+  one error-feedback compressor per bucket.
 
 Simulated-time accounting: launches charge compute through
 ``Communicator.compute`` (forward = 1/3 of the step, backward split across
@@ -78,7 +81,7 @@ class Bucket:
         self.nbytes = sum(p.data.nbytes for p in self.params)
         self.buffer = np.empty(self.size, dtype=np.float64)
 
-    def pack(self, weight: float = 1.0) -> np.ndarray:
+    def pack(self) -> np.ndarray:
         """Gather the parameters' gradients into the persistent buffer."""
         offset = 0
         buf = self.buffer
@@ -86,8 +89,6 @@ class Bucket:
             flat = p.grad.reshape(-1)
             buf[offset : offset + flat.size] = flat
             offset += flat.size
-        if weight != 1.0:
-            buf *= weight
         return buf
 
     def unpack(self, flat: np.ndarray) -> None:
@@ -152,9 +153,9 @@ class BucketedExchange:
         plan: BucketPlan,
         algorithm: str = "tree",
         overlap: bool = True,
-        compressor=None,
+        compressor_factory=None,
     ):
-        if overlap and compressor is not None:
+        if overlap and compressor_factory is not None:
             raise ValueError(
                 "compressed exchange is blocking per bucket; use overlap=False"
             )
@@ -162,14 +163,18 @@ class BucketedExchange:
         self.plan = plan
         self.algorithm = algorithm
         self.overlap = overlap
-        self.compressor = compressor
+        #: one compressor per bucket: error feedback keeps a residual shaped
+        #: like the bucket it compresses
+        self.compressors = (
+            None if compressor_factory is None
+            else [compressor_factory() for _ in plan.buckets]
+        )
         #: cumulative simulated seconds this rank was blocked on gradient comm
         self.exposed_seconds = 0.0
         #: cumulative simulated seconds of allreduce occupancy (sum of buckets)
         self.busy_seconds = 0.0
         self._hooked: list[Module] = []
         # per-step state
-        self._weight = 1.0
         self._bwd_seconds = 0.0
         self._pending = [len(b.params) for b in plan.buckets]
         self._seen: set[int] = set()
@@ -215,7 +220,7 @@ class BucketedExchange:
             self._launch(self._next_launch)
 
     # -- step lifecycle ------------------------------------------------------
-    def begin_step(self, weight: float, compute_seconds: float) -> None:
+    def begin_step(self, compute_seconds: float) -> None:
         """Reset per-step state and charge the forward pass.
 
         ``compute_seconds`` is the rank's full forward+backward budget for
@@ -224,7 +229,6 @@ class BucketedExchange:
         simulated launch times mirror when backward would really produce
         each bucket.  Straggler multipliers apply via ``comm.compute``.
         """
-        self._weight = weight
         t_fwd = compute_seconds / 3.0
         self._bwd_seconds = compute_seconds - t_fwd
         self._pending = [len(b.params) for b in self.plan.buckets]
@@ -240,7 +244,7 @@ class BucketedExchange:
             self.comm.compute(
                 self._bwd_seconds * bucket.size / self.plan.total_size
             )
-        flat = bucket.pack(self._weight)
+        flat = bucket.pack()
         self._requests[index] = self.comm.iallreduce(
             flat, algorithm=self.algorithm, copy=False
         )
@@ -273,7 +277,7 @@ class BucketedExchange:
             )
 
     # -- blocking bucketed path ---------------------------------------------
-    def sync_blocking(self, weight: float) -> None:
+    def sync_blocking(self) -> None:
         """Sequential per-bucket blocking exchange (``overlap=False``).
 
         Same plan, same wire partitioning (so fault plans see per-bucket
@@ -283,11 +287,12 @@ class BucketedExchange:
         """
         start = self.comm.time
         for bucket in self.plan.buckets:
-            flat = bucket.pack(weight)
-            if self.compressor is not None:
+            flat = bucket.pack()
+            if self.compressors is not None:
                 from .compression import compressed_allreduce
 
-                total = compressed_allreduce(self.comm, flat, self.compressor)
+                total = compressed_allreduce(
+                    self.comm, flat, self.compressors[bucket.index])
             else:
                 total = self.comm.allreduce(flat, algorithm=self.algorithm)
             bucket.unpack(total)

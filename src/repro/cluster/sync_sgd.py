@@ -2,14 +2,16 @@
 
 This is the algorithm the paper scales: every rank holds a full model
 replica, computes gradients on its shard of the global batch, the gradients
-are summed across ranks (allreduce, or gather-update-broadcast through a
-master — Figure 2(a)), and every replica applies the *same* update.
+are summed across ranks (allreduce, or reduce to a master and broadcast
+back — Figure 2(a)), and every replica applies the *same* update.
 
 Sequential consistency — the property the paper leans on ("all valid
 parallel implementations of the algorithm match the behavior of the
-sequential version") — holds by construction: the allreduced gradient is the
-same global-batch mean the serial trainer computes, every rank sees a
-bit-identical copy, and the optimiser arithmetic is identical.  Tests verify
+sequential version") — holds by construction: every rank scales its loss
+gradient by |shard|/|global batch| before backward (the rule the serial
+trainer's micro-batches and SyncBatchNorm use), so the exchange's plain sum
+is the same global-batch mean the serial trainer computes, every rank sees
+a bit-identical copy, and the optimiser arithmetic is identical.  Tests verify
 P-worker runs match the serial large-batch run to fp tolerance.  The one
 deliberate exception is BatchNorm, whose statistics are per-shard (exactly
 as in the paper's Caffe/MLSL stacks); models without BN match the serial run
@@ -74,7 +76,7 @@ from ..obs import timed as _timed
 from ..obs.events import publish as _publish
 from ..obs.metrics import gauge as _gauge
 from .bucketing import BucketedExchange, BucketPlan
-from .packing import flatten_grads, flatten_params, unflatten_grads, unflatten_params
+from .packing import flatten_grads, unflatten_grads
 from .sharding import epoch_permutation, shard_batch
 
 __all__ = ["SyncSGDConfig", "ClusterResult", "train_sync_sgd"]
@@ -92,11 +94,13 @@ class SyncSGDConfig:
         Fixed-epoch budget and *global* batch size (split across ranks).
     mode:
         ``"allreduce"`` — decentralised gradient allreduce (production);
-        ``"master"`` — Figure 2(a): gradients reduce to rank 0, rank 0
-        updates, new weights broadcast.
+        ``"master"`` — Figure 2(a): gradients reduce to rank 0 and rank 0's
+        sum is broadcast back, after which every replica applies the same
+        update (see :class:`_MasterExchange`).
     algorithm:
-        Allreduce algorithm (``tree``/``ring``/``rhd``) for allreduce mode
-        and for the reduce/bcast trees in master mode.
+        Allreduce algorithm (``tree``/``ring``/``rhd``), allreduce mode
+        only: master mode always reduces and broadcasts along binomial
+        trees.
     profile:
         α-β network profile; ``None`` = free network (pure correctness).
     compute_time:
@@ -105,9 +109,9 @@ class SyncSGDConfig:
         charges no compute time.
     compressor_factory:
         Optional ``() -> Compressor`` enabling compressed gradient exchange
-        (allreduce mode only): each rank keeps its own stateful compressor
-        (error feedback is per-worker) and the wire carries compressed
-        payloads.  ``None`` = full-precision exchange.
+        (allreduce mode only): each rank builds one stateful compressor per
+        bucket (error feedback is per worker and per bucket) and the wire
+        carries compressed payloads.  ``None`` = full-precision exchange.
     bucket_bytes:
         Split the gradient exchange into ~this many bytes per bucket
         (allreduce mode only).  ``None`` with ``overlap=False`` is the
@@ -168,8 +172,9 @@ class SyncSGDConfig:
     static_memory: bool = False
     shuffle_seed: int = 0
     eval_every: int = 1
-    #: restart support: epoch to resume from plus the states to load (every
-    #: rank loads the same snapshot — replicas are identical by construction)
+    #: resume support: epoch to resume from plus the states to load (every
+    #: rank loads the same snapshot — replicas are identical by construction);
+    #: a recovery attempt is the run resumed from its latest snapshot
     start_epoch: int = 0
     initial_model_state: dict | None = None
     initial_optimizer_state: dict | None = None
@@ -255,7 +260,7 @@ class ClusterResult:
     #: (epoch, simulated seconds at epoch end, test accuracy) — Figure 7
     time_curve: list[tuple[int, float, float]] = field(default_factory=list)
     final_state: dict | None = None
-    #: rank 0's optimiser state (identical on every rank in allreduce mode) —
+    #: rank 0's optimiser state (identical on every rank) —
     #: together with ``final_state`` this is a complete restart checkpoint
     final_optimizer_state: dict | None = None
     #: fault accounting (None when no fault plan was armed)
@@ -314,48 +319,46 @@ class _SnapshotStore:
             return self._latest
 
 
-def _sync_gradient_allreduce(exchange: BucketedExchange, weight: float) -> None:
-    """Decentralised mode: allreduce the shard-weighted gradients in place
-    through the rank's bucketed exchange — finishing the overlapped buckets
-    backward launched, or running every bucket now."""
+def _sync_gradient_allreduce(exchange) -> None:
+    """The step loop's one exchange call: sum every rank's pre-scaled
+    gradients in place — finishing the overlapped buckets backward
+    launched, or running the whole exchange now."""
     if exchange.overlap:
         exchange.finish_step()
     else:
-        exchange.sync_blocking(weight)
+        exchange.sync_blocking()
 
 
-def _sync_gradient_master(
-    comm: Communicator,
-    model: Module,
-    optimizer: Optimizer,
-    weight: float,
-    lr: float,
-    grad_bucket: np.ndarray | None = None,
-    param_bucket: np.ndarray | None = None,
-) -> None:
-    """Figure 2(a) mode: reduce to master, master updates, weights broadcast.
+class _MasterExchange:
+    """Figure 2(a) as a gradient exchange: the gradients reduce to the
+    master (rank 0) and the master's sum is broadcast back, both along
+    binomial trees, whatever the configured allreduce algorithm.
 
-    Only rank 0's optimiser state advances; worker replicas just load the
-    broadcast weights, exactly like parameter-server-style sync SGD.
-
-    ``grad_bucket``/``param_bucket`` are reusable |W| flat buffers for the
-    gradient reduce and the weight broadcast — same buffer-reuse discipline
-    as the allreduce path (the fabric copies payloads on send, so reuse
-    across iterations is safe).
+    The master sends the summed gradient rather than its updated weights:
+    the payload is the same |W| floats, and every replica then applies the
+    same deterministic update to the same input, so each holds exactly the
+    weights the master would have sent.  Same per-step call and comm
+    accounting as :class:`~repro.cluster.bucketing.BucketedExchange`.
     """
-    params = model.parameters()
-    flat = flatten_grads(params, out=grad_bucket)
-    flat *= weight
-    total = comm.reduce(flat, root=0)
-    if comm.rank == 0:
-        unflatten_grads(total, params)
-        optimizer.step(lr)
-        new_weights = flatten_params(params, out=param_bucket)
-    else:
-        new_weights = None
-    new_weights = comm.bcast(new_weights, root=0)
-    if comm.rank != 0:
-        unflatten_params(new_weights, params)
+
+    overlap = False
+
+    def __init__(self, comm: Communicator, params: Sequence):
+        self.comm = comm
+        self.params = params
+        # reusable |W| buffer (the fabric copies payloads on send)
+        self.buffer = np.empty(sum(p.size for p in params), dtype=np.float64)
+        self.exposed_seconds = 0.0
+        self.busy_seconds = 0.0
+
+    def sync_blocking(self) -> None:
+        start = self.comm.time
+        total = self.comm.reduce(flatten_grads(self.params, out=self.buffer),
+                                 root=0)
+        unflatten_grads(self.comm.bcast(total, root=0), self.params)
+        elapsed = self.comm.time - start
+        self.exposed_seconds += elapsed
+        self.busy_seconds += elapsed
 
 
 def train_sync_sgd(
@@ -381,50 +384,35 @@ def train_sync_sgd(
     """
     sched = ConstantLR(schedule) if isinstance(schedule, (int, float)) else schedule
     n = len(x_train)
-    loss_fn_proto = SoftmaxCrossEntropy
+    iters_per_epoch = -(-n // config.batch_size)
     fault_tolerant = config.fault_plan is not None
 
-    def make_worker(
-        world: int,
-        start_epoch: int,
-        model_state: dict | None,
-        opt_state: dict | None,
-        injector: FaultInjector | None,
-        store: _SnapshotStore | None,
-        cfg: SyncSGDConfig,
-    ):
-        iters_per_epoch = -(-n // cfg.batch_size)
+    def make_worker(cfg: SyncSGDConfig, injector: FaultInjector | None,
+                    store: _SnapshotStore | None):
+        """One attempt's rank body: ``cfg`` says everything the attempt
+        runs, ``injector``/``store`` are its fault injector and snapshots."""
 
         def body(comm: Communicator):
             model = model_builder()
             optimizer = optimizer_builder(model.parameters())
-            loss_fn = loss_fn_proto()
-            memory = None
+            loss_fn = SoftmaxCrossEntropy()
             if cfg.static_memory:
                 memory = MemoryContext()
                 model.bind_memory(memory)
                 loss_fn.bind_memory(memory)
-            if model_state is not None:
-                model.load_state_dict(model_state)
-            if opt_state is not None:
-                optimizer.load_state_dict(opt_state)
-            iteration = start_epoch * iters_per_epoch
-            history: list[EpochRecord] = []
-            time_curve: list[tuple[int, float, float]] = []
-            # master mode's blocking exchange is all exposed (the bucketed
-            # exchange keeps its own running totals)
-            master_seconds = 0.0
-
-            # SyncBatchNorm layers need this rank's communicator; their
-            # presence switches the gradient protocol to pre-scaling.
+            if cfg.initial_model_state is not None:
+                model.load_state_dict(cfg.initial_model_state)
+            if cfg.initial_optimizer_state is not None:
+                optimizer.load_state_dict(cfg.initial_optimizer_state)
+            # SyncBatchNorm layers need this rank's communicator, and every
+            # rank must join their collectives, even on an empty shard
             sync_bn = [m for m in model.modules() if isinstance(m, SyncBatchNorm)]
             for bn in sync_bn:
                 bn.set_comm(comm)
-            uses_sync_bn = bool(sync_bn)
-            if cfg.mode == "allreduce":
-                # The bucketed (optionally overlapped) exchange — see
-                # repro.cluster.bucketing; the monolithic exchange is its
-                # one-bucket plan.
+            if cfg.mode == "master":
+                exchange = _MasterExchange(comm, model.parameters())
+            else:
+                # the monolithic exchange is the one-bucket plan
                 bucket_bytes = cfg.bucket_bytes
                 if bucket_bytes is None and not cfg.overlap:
                     bucket_bytes = sum(p.data.nbytes for p in model.parameters())
@@ -433,20 +421,15 @@ def train_sync_sgd(
                     BucketPlan.from_model(model, bucket_bytes=bucket_bytes),
                     algorithm=cfg.algorithm,
                     overlap=cfg.overlap,
-                    compressor=(cfg.compressor_factory()
-                                if cfg.compressor_factory else None),
+                    compressor_factory=cfg.compressor_factory,
                 )
                 if cfg.overlap:
                     exchange.install_hooks(model)
-            else:
-                # reusable |W| buffers for the gradient reduce and the
-                # weight broadcast
-                grad_bucket = np.empty(
-                    sum(p.size for p in model.parameters()), dtype=np.float64
-                )
-                param_bucket = np.empty_like(grad_bucket)
+            iteration = cfg.start_epoch * iters_per_epoch
+            history: list[EpochRecord] = []
+            time_curve: list[tuple[int, float, float]] = []
 
-            for epoch in range(start_epoch, cfg.epochs):
+            for epoch in range(cfg.start_epoch, cfg.epochs):
                 order = epoch_permutation(n, epoch, cfg.shuffle_seed)
                 loss_sum = 0.0
                 correct_sum = 0.0
@@ -457,15 +440,8 @@ def train_sync_sgd(
                     ):
                         raise RankKilled(comm.rank, iteration)
                     global_idx = order[lo : lo + cfg.batch_size]
-                    local_idx = shard_batch(global_idx, world, comm.rank)
-                    gbs = len(global_idx)
+                    local_idx = shard_batch(global_idx, cfg.world, comm.rank)
                     lr = sched(iteration)
-                    # local loss gradients are means over the shard;
-                    # weighting by |shard|/|global batch| makes the
-                    # cross-rank sum the exact global-batch mean even when
-                    # shards are uneven
-                    weight = len(local_idx) / gbs
-                    combine_weight = 1.0 if uses_sync_bn else weight
 
                     with _timed("trainer.train_step", rank=comm.rank,
                                 iteration=iteration, epoch=epoch):
@@ -481,19 +457,17 @@ def train_sync_sgd(
                             if cfg.overlap:
                                 # charges forward time now; backward time is
                                 # charged per bucket as the hooks launch
-                                exchange.begin_step(combine_weight, step_seconds)
-                            # With SyncBatchNorm every rank must join the
-                            # collective forward/backward, even on an empty
-                            # shard, and the loss gradient is pre-scaled so
-                            # BN's global reductions see consistent
-                            # per-example 1/N scaling.
-                            if len(local_idx) > 0 or uses_sync_bn:
+                                exchange.begin_step(step_seconds)
+                            if len(local_idx) > 0 or sync_bn:
                                 xb, yb = x_train[local_idx], y_train[local_idx]
                                 logits = model.forward(xb)
                                 batch_loss = loss_fn.forward(logits, yb)
+                                # the loss gradient is a mean over the shard;
+                                # scaling it by |shard|/|global batch| makes
+                                # the exchange's sum over ranks the exact
+                                # global-batch mean, even for uneven shards
                                 grad = loss_fn.backward()
-                                if uses_sync_bn:
-                                    grad *= weight  # in place
+                                grad *= len(local_idx) / len(global_idx)
                                 model.backward(grad)
                                 if len(local_idx) > 0:
                                     loss_sum += batch_loss * len(local_idx)
@@ -511,19 +485,10 @@ def train_sync_sgd(
                         sync_start = comm.time
                         with _timed("cluster.grad_sync", rank=comm.rank,
                                     mode=cfg.mode):
-                            if cfg.mode == "allreduce":
-                                _sync_gradient_allreduce(exchange, combine_weight)
-                                optimizer.step(lr)
-                            else:
-                                _sync_gradient_master(
-                                    comm, model, optimizer, combine_weight,
-                                    lr, grad_bucket=grad_bucket,
-                                    param_bucket=param_bucket)
-                        sync_elapsed = comm.time - sync_start
-                        if cfg.mode == "master":
-                            master_seconds += sync_elapsed
+                            _sync_gradient_allreduce(exchange)
+                            optimizer.step(lr)
                         _gauge("cluster.straggler_wait_s",
-                               rank=comm.rank).set(sync_elapsed)
+                               rank=comm.rank).set(comm.time - sync_start)
                     iteration += 1
 
                 # per-epoch metric aggregation: one tiny allreduce
@@ -584,16 +549,13 @@ def train_sync_sgd(
                                  path=snapshot["path"], sim_seconds=comm.time)
 
             if comm.rank == 0:
-                exposed = busy = master_seconds
-                if cfg.mode == "allreduce":
-                    exposed, busy = exchange.exposed_seconds, exchange.busy_seconds
                 return {
                     "history": history,
                     "time_curve": time_curve,
                     "state": model.state_dict(),
                     "optimizer_state": optimizer.state_dict(),
-                    "exposed_comm_seconds": exposed,
-                    "comm_busy_seconds": busy,
+                    "exposed_comm_seconds": exchange.exposed_seconds,
+                    "comm_busy_seconds": exchange.busy_seconds,
                 }
             return None
 
@@ -620,29 +582,24 @@ def train_sync_sgd(
 
     # ---- the controller: attempts + elastic recovery --------------------------
     # Without a fault plan there is one attempt: no injector, no snapshots,
-    # and the worker is the bare body, so its exceptions propagate.
+    # and the worker is the bare body, so its exceptions propagate.  Each
+    # recovery resumes the run from its latest snapshot: the next attempt's
+    # config is this one with the survivors' world, the restored epoch and
+    # states, and the fault plan renumbered over the survivors.
     total_stats = FaultStats() if fault_tolerant else None
     reports: list[FaultReport] = []
-    plan = config.fault_plan
     cfg = config
-    world = config.world
-    start_epoch = config.start_epoch
-    model_state = config.initial_model_state
-    opt_state = config.initial_optimizer_state
     prior_history: list[EpochRecord] = []
     prior_curve: list[tuple[int, float, float]] = []
     time_offset = 0.0
     total_messages = 0
     total_bytes = 0
-    recoveries = 0
 
     while True:
-        injector = FaultInjector(plan) if fault_tolerant else None
+        injector = FaultInjector(cfg.fault_plan) if fault_tolerant else None
         store = _SnapshotStore() if fault_tolerant else None
-        worker = make_worker(world, start_epoch, model_state, opt_state,
-                             injector, store, cfg)
-        results, fabric = run_cluster(world, worker, profile=cfg.profile,
-                                      injector=injector)
+        results, fabric = run_cluster(cfg.world, make_worker(cfg, injector, store),
+                                      profile=cfg.profile, injector=injector)
         if fault_tolerant:
             total_stats.merge(injector.stats)
         total_messages += fabric.stats.messages
@@ -651,27 +608,26 @@ def train_sync_sgd(
         markers = [r for r in results if isinstance(r, dict) and "fault" in r]
         if not markers:
             root = results[0]
-            history = prior_history + root["history"]
-            curve = prior_curve + [
-                (e, time_offset + t, a) for e, t, a in root["time_curve"]
-            ]
             return ClusterResult(
-                history=history,
+                history=prior_history + root["history"],
                 simulated_seconds=time_offset + fabric.makespan,
                 messages=total_messages,
                 comm_bytes=total_bytes,
-                time_curve=curve,
+                time_curve=prior_curve + [
+                    (e, time_offset + t, a) for e, t, a in root["time_curve"]
+                ],
                 final_state=root["state"],
                 final_optimizer_state=root["optimizer_state"],
                 fault_stats=total_stats,
                 fault_reports=reports,
-                recoveries=recoveries,
-                final_world=world,
+                recoveries=len(reports),
+                final_world=cfg.world,
                 exposed_comm_seconds=root["exposed_comm_seconds"],
                 comm_busy_seconds=root["comm_busy_seconds"],
             )
 
         # -- the attempt failed: diagnose -----------------------------------
+        world = cfg.world
         dead = sorted(fabric.dead_ranks)
         killed = [m for m in markers if m["fault"] == "killed"]
         failed_iter = min((m["iteration"] for m in killed), default=None)
@@ -680,12 +636,11 @@ def train_sync_sgd(
             f"rank(s) {dead} crashed" if dead
             else "; ".join(causes) or "unknown fault"
         )
-        snap = store.latest
         survivors = world - len(dead)
 
         recoverable = (
             cfg.on_failure == "recover"
-            and recoveries < cfg.max_recoveries
+            and len(reports) < cfg.max_recoveries
             and survivors >= 1
             and len(dead) > 0  # a deadlock or an exhausted link with no
             # confirmed death leaves no rank to drop: a restart at the same
@@ -708,13 +663,16 @@ def train_sync_sgd(
                      world_after=survivors)
             raise TrainingAborted(report)
 
-        # -- elastic restart from the latest snapshot ------------------------
-        recoveries += 1
+        # -- elastic restart: resume from the latest snapshot ----------------
         total_stats.recoveries += 1
+        snap = store.latest
         snap_time = snap["sim_time"] if snap else 0.0
         total_stats.lost_seconds += max(fabric.makespan - snap_time, 0.0)
         if snap is not None:
-            if snap["path"] is not None:
+            if snap["path"] is None:
+                model_state = snap["model_state"]
+                opt_state = snap["optimizer_state"]
+            else:
                 # exercise the real crash-restart path: reload through the
                 # on-disk atomic checkpoint rather than the in-memory copy
                 from ..util.checkpoint import load_checkpoint
@@ -724,38 +682,35 @@ def train_sync_sgd(
                 load_checkpoint(snap["path"], ckpt_model, ckpt_opt)
                 model_state = ckpt_model.state_dict()
                 opt_state = ckpt_opt.state_dict()
-            else:
-                model_state = snap["model_state"]
-                opt_state = snap["optimizer_state"]
-            start_epoch = snap["next_epoch"]
+            cfg = replace(cfg, start_epoch=snap["next_epoch"],
+                          initial_model_state=model_state,
+                          initial_optimizer_state=opt_state)
             prior_history = prior_history + snap["history"]
             prior_curve = prior_curve + [
                 (e, time_offset + t, a) for e, t, a in snap["time_curve"]
             ]
-        # else: no snapshot yet — restart the attempt from its own start
-        # state (model_state/opt_state/start_epoch are unchanged)
+        # else: no snapshot yet — the attempt restarts from its own start
         time_offset += fabric.makespan + cfg.restart_overhead_seconds
 
-        new_world = survivors
-        new_algorithm = cfg.algorithm
-        if new_algorithm == "rhd" and new_world & (new_world - 1):
-            # rhd needs a power-of-two world; fall back to the tree
-            new_algorithm = "tree"
         reports.append(
             FaultReport(
                 outcome="recovered",
                 cause=cause,
                 dead_ranks=dead,
                 failed_at_iteration=failed_iter,
-                restarted_from_epoch=start_epoch,
+                restarted_from_epoch=cfg.start_epoch,
                 world_before=world,
-                world_after=new_world,
+                world_after=survivors,
             )
         )
         _publish("recovery.restart", cause=cause, dead_ranks=list(dead),
-                 restarted_from_epoch=start_epoch, world_before=world,
-                 world_after=new_world)
-        plan = plan.without_rank(set(dead), world)
-        world = new_world
-        cfg = replace(cfg, world=world, algorithm=new_algorithm,
-                      start_epoch=start_epoch)
+                 restarted_from_epoch=cfg.start_epoch, world_before=world,
+                 world_after=survivors)
+        cfg = replace(
+            cfg,
+            world=survivors,
+            # rhd needs a power-of-two world; fall back to the tree
+            algorithm="tree" if cfg.algorithm == "rhd"
+            and survivors & (survivors - 1) else cfg.algorithm,
+            fault_plan=cfg.fault_plan.without_rank(set(dead), world),
+        )

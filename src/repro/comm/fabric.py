@@ -253,7 +253,7 @@ class SimulatedFabric:
             self._doomed[rank] = graph
             self._wakeups[rank].notify()
 
-    def _fault_delay(self, src: int, dst: int) -> float:
+    def _fault_delay(self, src: int, dst: int, tag: int) -> float:
         """Extra arrival delay from injected faults (0 when no injector).
 
         May raise :class:`repro.comm.errors.RetransmitExhausted` in the
@@ -261,7 +261,7 @@ class SimulatedFabric:
         """
         if self.injector is None:
             return 0.0
-        return self.injector.decide_send(src, dst)
+        return self.injector.decide_send(src, dst, tag)
 
     # -- point-to-point ---------------------------------------------------------
     def _send(self, kind: str, src: int, dst: int, payload, tag: int,
@@ -280,7 +280,7 @@ class SimulatedFabric:
         if isinstance(payload, np.ndarray):
             payload = payload.copy()
         nbytes = payload_nbytes(payload)
-        arrival = arrival_of(nbytes, self._fault_delay(src, dst))
+        arrival = arrival_of(nbytes, self._fault_delay(src, dst, tag))
         with self._lock:
             self.stats.record(nbytes)
             self._mailboxes[dst][(src, tag)].append(

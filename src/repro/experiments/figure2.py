@@ -1,11 +1,13 @@
 """Figure 2 — data parallelism (the paper's schematic, made executable).
 
 Figure 2(a) is a diagram: P workers send gradients to a master, the master
-updates w and broadcasts it back.  Our master-worker sync-SGD mode *is* that
-diagram; this experiment runs it on the simulated fabric and verifies the
-message pattern the figure depicts (gradients in: P−1 tree messages;
-weights out: P−1 tree messages) and that it computes the same update as the
-decentralised allreduce mode.
+updates w and broadcasts it back.  Our master-worker sync-SGD mode runs that
+diagram's messages; the master broadcasts the summed gradient rather than w,
+the same |W| floats, and every replica's identical update yields exactly the
+w it would send.  This experiment runs it on the simulated fabric and
+verifies the message pattern the figure depicts (gradients in: P−1 tree
+messages; out: P−1 tree messages) and that it computes the same update as
+the decentralised allreduce mode.
 
 Figure 2(b) (model parallelism) is discussed but not evaluated by the paper;
 we record the boundary-crossing communication its caption describes as an
@@ -63,7 +65,7 @@ def run(scale: str = "small", seed: int = 0) -> ExperimentResult:
         notes=(
             f"Both modes produce identical weights (max diff {diff:.2e}) — "
             "the sequential-consistency property the figure's scheme "
-            "relies on.  Gradient-in/weights-out messages per iteration in "
+            "relies on.  Gradient-in/sum-out messages per iteration in "
             "master mode: 2(P-1) plus the per-epoch metric reduction."
         ),
     )

@@ -50,11 +50,12 @@ class FaultInjector:
             self._counters[(src, dst)] = n + 1
         return np.random.default_rng((self.plan.seed, src, dst, n))
 
-    def decide_send(self, src: int, dst: int) -> float:
+    def decide_send(self, src: int, dst: int, tag: int = 0) -> float:
         """Extra arrival delay for this message, in simulated seconds.
 
-        Raises :class:`RetransmitExhausted` if the frame is lost more times
-        than the retransmit policy allows (the link gives up on the peer).
+        Raises :class:`RetransmitExhausted` once the original frame and all
+        ``max_retries`` retransmits of it are lost (the link gives up on
+        the peer); every lost frame is counted in the stats first.
         """
         plan = self.plan
         if not plan.lossy:
@@ -70,25 +71,21 @@ class FaultInjector:
                 u = rng.random()
                 if u >= p_loss:
                     break  # frame delivered, ack returns
-                if drop_rounds + corrupt_rounds > policy.max_retries:
-                    self.stats.count_loss(
-                        drop_rounds, corrupt_rounds, policy.total_delay(
-                            drop_rounds + corrupt_rounds
-                        )
-                    )
-                    _publish("fault.link_down", src=src, dst=dst,
-                             retries=drop_rounds + corrupt_rounds)
-                    if _get_registry().enabled:
-                        _counter("faults.retransmits").inc(
-                            drop_rounds + corrupt_rounds
-                        )
-                    raise RetransmitExhausted(
-                        src, dst, 0, drop_rounds + corrupt_rounds
-                    )
                 if u < plan.drop_prob:
                     drop_rounds += 1
                 else:
                     corrupt_rounds += 1
+                lost = drop_rounds + corrupt_rounds
+                if lost > policy.max_retries:
+                    # the last lost frame's ack timeout fires, but no
+                    # retransmit follows it
+                    self.stats.count_loss(drop_rounds, corrupt_rounds,
+                                          policy.total_delay(lost),
+                                          retransmits=policy.max_retries)
+                    _publish("fault.link_down", src=src, dst=dst, retries=lost)
+                    if _get_registry().enabled:
+                        _counter("faults.retransmits").inc(policy.max_retries)
+                    raise RetransmitExhausted(src, dst, tag, policy.max_retries)
         lost = drop_rounds + corrupt_rounds
         if lost:
             delay = policy.total_delay(lost)

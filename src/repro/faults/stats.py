@@ -34,16 +34,18 @@ class FaultStats:
     )
 
     def count_loss(
-        self, drop_rounds: int, corrupt_rounds: int, delay: float
+        self, drop_rounds: int, corrupt_rounds: int, delay: float,
+        retransmits: int | None = None,
     ) -> None:
         """One message that lost ``drop_rounds + corrupt_rounds`` frames
-        before getting through (each lost frame = one ack-timeout + one
-        retransmit costing ``delay`` total simulated seconds)."""
+        (each lost frame = one ack-timeout + one retransmit costing
+        ``delay`` total simulated seconds).  A message the link gave up on
+        made fewer ``retransmits`` than it lost frames."""
         rounds = drop_rounds + corrupt_rounds
         with self._lock:
             self.messages_dropped += drop_rounds
             self.messages_corrupted += corrupt_rounds
-            self.retransmits += rounds
+            self.retransmits += rounds if retransmits is None else retransmits
             self.timeouts_fired += rounds
             self.retransmit_seconds += delay
 

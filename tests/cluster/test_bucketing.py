@@ -75,8 +75,8 @@ class TestBucketBuffers:
         for p in params:
             p.grad = rng.normal(size=p.data.shape)
         bucket = Bucket(0, params)
-        flat = bucket.pack(weight=0.5)
-        expected = np.concatenate([p.grad.reshape(-1) for p in params]) * 0.5
+        flat = bucket.pack()
+        expected = np.concatenate([p.grad.reshape(-1) for p in params])
         np.testing.assert_array_equal(flat, expected)
         bucket.unpack(flat * 2.0)
         offset = 0
@@ -188,12 +188,30 @@ class TestGradReadyHooks:
         )
         assert results[0] == owners > 0
 
+    def test_blocking_compressed_exchange_has_a_compressor_per_bucket(self):
+        from repro.cluster import OneBitCompressor
+
+        model = mlp(8, [16], 3, seed=0)
+        plan = BucketPlan.from_model(model, bucket_bytes=256)
+        for p in model.parameters():
+            p.grad[...] = 1.0
+
+        def worker(comm):
+            exchange = BucketedExchange(comm, plan, overlap=False,
+                                        compressor_factory=OneBitCompressor)
+            exchange.sync_blocking()
+            return [c.residual.size for c in exchange.compressors]
+
+        results, _ = run_cluster(1, worker)
+        assert len(plan) > 1
+        assert results[0] == [b.size for b in plan.buckets]
+
     def test_overlap_plus_compressor_rejected(self):
         model = mlp(8, [16], 3, seed=0)
         plan = BucketPlan.from_model(model)
 
         def worker(comm):
-            BucketedExchange(comm, plan, overlap=True, compressor=object())
+            BucketedExchange(comm, plan, overlap=True, compressor_factory=object)
 
         with pytest.raises(ValueError):
             run_cluster(1, worker)

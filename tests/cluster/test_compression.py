@@ -178,7 +178,7 @@ class TestCompressedAllreduce:
 class TestCompressedSyncSGD:
     """compressor_factory integrated into the sync-SGD trainer."""
 
-    def run(self, factory):
+    def run(self, factory, bucket_bytes=None):
         from repro.cluster import SyncSGDConfig, train_sync_sgd
         from repro.core import SGD, ConstantLR
         from repro.data import gaussian_blobs
@@ -190,7 +190,8 @@ class TestCompressedSyncSGD:
             return mlp(6, [8], 3, seed=12)
 
         config = SyncSGDConfig(world=4, epochs=4, batch_size=32,
-                               compressor_factory=factory, shuffle_seed=7)
+                               compressor_factory=factory, shuffle_seed=7,
+                               bucket_bytes=bucket_bytes)
         return train_sync_sgd(builder,
                               lambda p: SGD(p, momentum=0.9, weight_decay=0.0),
                               ConstantLR(0.05), x, y, x[:32], y[:32], config)
@@ -207,6 +208,22 @@ class TestCompressedSyncSGD:
         onebit = self.run(OneBitCompressor)
         assert onebit.comm_bytes < plain.comm_bytes / 5
         assert onebit.final_test_accuracy > 0.6
+
+    def test_identity_compressor_matches_plain_per_bucket(self):
+        plain = self.run(None, bucket_bytes=64)
+        identity = self.run(NoCompression, bucket_bytes=64)
+        for k in plain.final_state:
+            assert np.allclose(identity.final_state[k], plain.final_state[k],
+                               atol=1e-12)
+
+    @pytest.mark.parametrize("factory", [OneBitCompressor,
+                                         lambda: TopKCompressor(k=8)],
+                             ids=["one_bit", "top_k"])
+    def test_each_bucket_keeps_its_own_residual(self, factory):
+        """Buckets of different sizes each feed back their own residual
+        (one shared compressor cannot: its residual has one shape)."""
+        compressed = self.run(factory, bucket_bytes=64)
+        assert compressed.final_test_accuracy > 0.6
 
     def test_compression_requires_allreduce_mode(self):
         from repro.cluster import SyncSGDConfig

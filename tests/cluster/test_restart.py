@@ -94,3 +94,37 @@ def test_roundtrip_through_npz(tmp_path):
     for k in straight.final_state:
         assert np.allclose(resumed.final_state[k], straight.final_state[k],
                            atol=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ["tree", "ring", "rhd"])
+def test_recovery_is_a_resumed_run(algorithm):
+    """A run killed after epoch 2's snapshot ends bitwise equal to a
+    fault-free run to epoch 2 at P ranks chained into a run resumed from
+    its states at P−1 ranks (rhd falls back to the tree at 3 ranks)."""
+    from repro.faults import FaultPlan
+
+    world, ipe = 4, 96 // 32
+
+    def run_at(world, algorithm, epochs, **kwargs):
+        config = SyncSGDConfig(world=world, epochs=epochs, batch_size=32,
+                               algorithm=algorithm, shuffle_seed=SEED, **kwargs)
+        return train_sync_sgd(builder, lars_builder, ConstantLR(0.1),
+                              _X, _Y, _X[:32], _Y[:32], config)
+
+    recovered = run_at(world, algorithm, 4,
+                       fault_plan=FaultPlan(kills={1: 2 * ipe + 1}))
+    assert recovered.recoveries == 1
+    assert recovered.fault_reports[0].restarted_from_epoch == 2
+    first = run_at(world, algorithm, 2)
+    resumed = run_at(world - 1, "tree" if algorithm == "rhd" else algorithm, 4,
+                     start_epoch=2, initial_model_state=first.final_state,
+                     initial_optimizer_state=first.final_optimizer_state)
+    for k in resumed.final_state:
+        assert recovered.final_state[k].tobytes() == resumed.final_state[k].tobytes(), k
+    ours, theirs = recovered.final_optimizer_state, resumed.final_optimizer_state
+    assert ours["step_count"] == theirs["step_count"]
+    for a, b in zip(ours["state"], theirs["state"], strict=True):
+        assert {k: np.asarray(v).tobytes() for k, v in a.items()} == {
+            k: np.asarray(v).tobytes() for k, v in b.items()}
+    assert [h.test_accuracy for h in recovered.history] == [
+        h.test_accuracy for h in first.history + resumed.history]

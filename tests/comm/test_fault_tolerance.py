@@ -12,6 +12,8 @@ from repro.comm import (
     FabricTimeout,
     NetworkProfile,
     PeerDeadError,
+    RetransmitExhausted,
+    RetransmitPolicy,
     SimulatedFabric,
     run_cluster,
 )
@@ -130,6 +132,17 @@ class TestFaultPricing:
         assert slow.time == pytest.approx(6.0)
         assert fast.time == pytest.approx(2.0)
         assert inj.stats.straggler_seconds == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("kind", ["send", "isend", "post_send"])
+    def test_exhausted_link_names_the_message_tag(self, kind):
+        inj = FaultInjector(FaultPlan(
+            seed=0, drop_prob=0.999999,
+            retransmit=RetransmitPolicy(max_retries=2)))
+        f = SimulatedFabric(2, self.PROFILE, injector=inj)
+        with pytest.raises(RetransmitExhausted) as info:
+            getattr(f, kind)(0, 1, np.ones(8), tag=77)
+        assert (info.value.tag, info.value.retries) == (77, 2)
+        assert inj.stats.messages_dropped == 3
 
     def test_isend_also_pays_fault_delay(self):
         inj = FaultInjector(FaultPlan(seed=0, delay_prob=0.999999,

@@ -131,6 +131,49 @@ class TestFaultInjector:
             for _ in range(100):
                 inj.decide_send(0, 1)
 
+    def test_exhaustion_counts_every_lost_frame(self):
+        """The link gives up once the original frame and its max_retries
+        retransmits are all lost, after counting each of those frames."""
+        policy = RetransmitPolicy(max_retries=1)
+        inj = FaultInjector(FaultPlan(seed=0, drop_prob=0.999999,
+                                      retransmit=policy))
+        with pytest.raises(RetransmitExhausted) as info:
+            inj.decide_send(0, 1, tag=1 << 20)
+        exc = info.value
+        assert (exc.src, exc.dst, exc.tag, exc.retries) == (0, 1, 1 << 20, 1)
+        assert "(tag=1048576) lost after 1 retransmits" in str(exc)
+        stats = inj.stats
+        assert stats.messages_dropped == 2  # the original and one retransmit
+        assert stats.retransmits == 1
+        assert stats.timeouts_fired == 2
+        assert stats.retransmit_seconds == pytest.approx(policy.total_delay(2))
+
+    @pytest.mark.parametrize("max_retries", [0, 1, 3])
+    def test_exhaustion_exactly_when_budget_is_spent(self, max_retries):
+        """Each message draws from its own stream, so a roomy budget replays
+        the same frames: a send is delivered with the same delay as under
+        the roomy budget iff it lost at most max_retries frames."""
+        plan = FaultPlan(seed=4, drop_prob=0.5,
+                         retransmit=RetransmitPolicy(max_retries=max_retries))
+        tight = FaultInjector(plan)
+        roomy = FaultInjector(FaultPlan(seed=4, drop_prob=0.5,
+                                        retransmit=RetransmitPolicy(max_retries=60)))
+        exhausted = dropped = 0
+        for _ in range(300):
+            before = roomy.stats.messages_dropped
+            reference = roomy.decide_send(0, 1)
+            lost = roomy.stats.messages_dropped - before
+            dropped += min(lost, max_retries + 1)
+            try:
+                assert tight.decide_send(0, 1) == reference
+                assert lost <= max_retries
+            except RetransmitExhausted:
+                exhausted += 1
+                assert lost > max_retries
+        assert exhausted > 0
+        assert tight.stats.messages_dropped == dropped
+        assert tight.stats.retransmits == dropped - exhausted
+
     def test_delay_fault_applies_fixed_latency(self):
         inj = FaultInjector(
             FaultPlan(seed=0, delay_prob=0.5, delay_seconds=3.0)
