@@ -8,12 +8,13 @@ each bucket's allreduce launches the moment backward has produced its
 gradients, overlapping with the differentiation of the remaining (earlier)
 layers.
 
-This is the cluster's one allreduce-mode gradient exchange.  The
-monolithic exchange — one |W|-element allreduce per step — is the
-one-bucket plan, whose buffer is byte for byte the ``flatten_grads``
-vector.  The exchange only sums: every rank has already scaled its loss
-gradient by |shard|/|global batch| before backward, so the sum over ranks
-is the global-batch mean gradient.
+This is the cluster's one gradient exchange.  The monolithic exchange —
+one |W|-element allreduce per step — is the one-bucket plan, whose buffer
+is byte for byte the ``flatten_grads`` vector; master mode (Figure 2(a))
+is that plan's blocking ``tree`` allreduce, a reduce to rank 0 followed
+by a broadcast from it.  The exchange only sums: every rank has already
+scaled its loss gradient by |shard|/|global batch| before backward, so
+the sum over ranks is the global-batch mean gradient.
 
 Two pieces:
 

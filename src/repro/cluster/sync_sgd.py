@@ -76,7 +76,9 @@ from ..obs import timed as _timed
 from ..obs.events import publish as _publish
 from ..obs.metrics import gauge as _gauge
 from .bucketing import BucketedExchange, BucketPlan
-from .packing import flatten_grads, unflatten_grads
+# no path here calls these; they stay module attributes because
+# perfbench/tracing.py wraps them by name
+from .packing import flatten_grads, unflatten_grads  # noqa: F401
 from .sharding import epoch_permutation, shard_batch
 
 __all__ = ["SyncSGDConfig", "ClusterResult", "train_sync_sgd"]
@@ -95,8 +97,12 @@ class SyncSGDConfig:
     mode:
         ``"allreduce"`` — decentralised gradient allreduce (production);
         ``"master"`` — Figure 2(a): gradients reduce to rank 0 and rank 0's
-        sum is broadcast back, after which every replica applies the same
-        update (see :class:`_MasterExchange`).
+        sum is broadcast back, both along binomial trees, after which every
+        replica applies the same update.  Rank 0 sends the summed gradient
+        rather than its updated weights: the payload is the same |W|
+        floats, and every replica then holds exactly the weights rank 0
+        would have sent.  This is the one-bucket blocking ``tree``
+        allreduce, and runs as that exchange.
     algorithm:
         Allreduce algorithm (``tree``/``ring``/``rhd``), allreduce mode
         only: master mode always reduces and broadcasts along binomial
@@ -329,38 +335,6 @@ def _sync_gradient_allreduce(exchange) -> None:
         exchange.sync_blocking()
 
 
-class _MasterExchange:
-    """Figure 2(a) as a gradient exchange: the gradients reduce to the
-    master (rank 0) and the master's sum is broadcast back, both along
-    binomial trees, whatever the configured allreduce algorithm.
-
-    The master sends the summed gradient rather than its updated weights:
-    the payload is the same |W| floats, and every replica then applies the
-    same deterministic update to the same input, so each holds exactly the
-    weights the master would have sent.  Same per-step call and comm
-    accounting as :class:`~repro.cluster.bucketing.BucketedExchange`.
-    """
-
-    overlap = False
-
-    def __init__(self, comm: Communicator, params: Sequence):
-        self.comm = comm
-        self.params = params
-        # reusable |W| buffer (the fabric copies payloads on send)
-        self.buffer = np.empty(sum(p.size for p in params), dtype=np.float64)
-        self.exposed_seconds = 0.0
-        self.busy_seconds = 0.0
-
-    def sync_blocking(self) -> None:
-        start = self.comm.time
-        total = self.comm.reduce(flatten_grads(self.params, out=self.buffer),
-                                 root=0)
-        unflatten_grads(self.comm.bcast(total, root=0), self.params)
-        elapsed = self.comm.time - start
-        self.exposed_seconds += elapsed
-        self.busy_seconds += elapsed
-
-
 def train_sync_sgd(
     model_builder: Callable[[], Module],
     optimizer_builder: Callable[[Sequence], Optimizer],
@@ -409,22 +383,21 @@ def train_sync_sgd(
             sync_bn = [m for m in model.modules() if isinstance(m, SyncBatchNorm)]
             for bn in sync_bn:
                 bn.set_comm(comm)
-            if cfg.mode == "master":
-                exchange = _MasterExchange(comm, model.parameters())
-            else:
-                # the monolithic exchange is the one-bucket plan
-                bucket_bytes = cfg.bucket_bytes
-                if bucket_bytes is None and not cfg.overlap:
-                    bucket_bytes = sum(p.data.nbytes for p in model.parameters())
-                exchange = BucketedExchange(
-                    comm,
-                    BucketPlan.from_model(model, bucket_bytes=bucket_bytes),
-                    algorithm=cfg.algorithm,
-                    overlap=cfg.overlap,
-                    compressor_factory=cfg.compressor_factory,
-                )
-                if cfg.overlap:
-                    exchange.install_hooks(model)
+            # the monolithic exchange is the one-bucket plan; master mode
+            # (which rejects buckets and overlap) is its tree allreduce: a
+            # reduce to rank 0, then a broadcast of rank 0's sum back
+            bucket_bytes = cfg.bucket_bytes
+            if bucket_bytes is None and not cfg.overlap:
+                bucket_bytes = sum(p.data.nbytes for p in model.parameters())
+            exchange = BucketedExchange(
+                comm,
+                BucketPlan.from_model(model, bucket_bytes=bucket_bytes),
+                algorithm="tree" if cfg.mode == "master" else cfg.algorithm,
+                overlap=cfg.overlap,
+                compressor_factory=cfg.compressor_factory,
+            )
+            if cfg.overlap:
+                exchange.install_hooks(model)
             iteration = cfg.start_epoch * iters_per_epoch
             history: list[EpochRecord] = []
             time_curve: list[tuple[int, float, float]] = []

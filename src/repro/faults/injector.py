@@ -50,7 +50,7 @@ class FaultInjector:
             self._counters[(src, dst)] = n + 1
         return np.random.default_rng((self.plan.seed, src, dst, n))
 
-    def decide_send(self, src: int, dst: int, tag: int = 0) -> float:
+    def decide_send(self, src: int, dst: int, tag: int) -> float:
         """Extra arrival delay for this message, in simulated seconds.
 
         Raises :class:`RetransmitExhausted` once the original frame and all
@@ -82,14 +82,16 @@ class FaultInjector:
                     self.stats.count_loss(drop_rounds, corrupt_rounds,
                                           policy.total_delay(lost),
                                           retransmits=policy.max_retries)
-                    _publish("fault.link_down", src=src, dst=dst, retries=lost)
+                    _publish("fault.link_down", src=src, dst=dst,
+                             retries=policy.max_retries, lost=lost)
                     if _get_registry().enabled:
                         _counter("faults.retransmits").inc(policy.max_retries)
                     raise RetransmitExhausted(src, dst, tag, policy.max_retries)
         lost = drop_rounds + corrupt_rounds
         if lost:
             delay = policy.total_delay(lost)
-            self.stats.count_loss(drop_rounds, corrupt_rounds, delay)
+            self.stats.count_loss(drop_rounds, corrupt_rounds, delay,
+                                  retransmits=lost)
             extra += delay
             _publish("fault.message_loss", src=src, dst=dst,
                      dropped=drop_rounds, corrupted=corrupt_rounds,

@@ -35,17 +35,17 @@ class FaultStats:
 
     def count_loss(
         self, drop_rounds: int, corrupt_rounds: int, delay: float,
-        retransmits: int | None = None,
+        retransmits: int,
     ) -> None:
-        """One message that lost ``drop_rounds + corrupt_rounds`` frames
-        (each lost frame = one ack-timeout + one retransmit costing
-        ``delay`` total simulated seconds).  A message the link gave up on
-        made fewer ``retransmits`` than it lost frames."""
+        """One message that lost ``drop_rounds + corrupt_rounds`` frames,
+        each firing one ack timeout, and made ``retransmits`` retransmits
+        (one per lost frame if it was delivered, one fewer if the link gave
+        up on it), costing ``delay`` simulated seconds in total."""
         rounds = drop_rounds + corrupt_rounds
         with self._lock:
             self.messages_dropped += drop_rounds
             self.messages_corrupted += corrupt_rounds
-            self.retransmits += rounds if retransmits is None else retransmits
+            self.retransmits += retransmits
             self.timeouts_fired += rounds
             self.retransmit_seconds += delay
 

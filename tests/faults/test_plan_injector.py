@@ -69,48 +69,48 @@ class TestRetransmitPolicy:
 class TestFaultInjector:
     def test_decisions_are_deterministic_per_channel(self):
         delays_a = [FaultInjector(FaultPlan(seed=7, drop_prob=0.3))
-                    .decide_send(0, 1) for _ in range(1)]
+                    .decide_send(0, 1, 0) for _ in range(1)]
         # replay the same channel sequence on a fresh injector
         inj1 = FaultInjector(FaultPlan(seed=7, drop_prob=0.3))
         inj2 = FaultInjector(FaultPlan(seed=7, drop_prob=0.3))
-        seq1 = [inj1.decide_send(0, 1) for _ in range(200)]
-        seq2 = [inj2.decide_send(0, 1) for _ in range(200)]
+        seq1 = [inj1.decide_send(0, 1, 0) for _ in range(200)]
+        seq2 = [inj2.decide_send(0, 1, 0) for _ in range(200)]
         assert seq1 == seq2
         assert inj1.stats.messages_dropped == inj2.stats.messages_dropped
         assert delays_a[0] == seq1[0]
 
     def test_channels_are_independent(self):
         inj = FaultInjector(FaultPlan(seed=7, drop_prob=0.3))
-        a = [inj.decide_send(0, 1) for _ in range(50)]
+        a = [inj.decide_send(0, 1, 0) for _ in range(50)]
         inj_b = FaultInjector(FaultPlan(seed=7, drop_prob=0.3))
         # interleaving traffic on another channel must not perturb (0, 1)
         b = []
         for _ in range(50):
-            inj_b.decide_send(2, 3)
-            b.append(inj_b.decide_send(0, 1))
+            inj_b.decide_send(2, 3, 0)
+            b.append(inj_b.decide_send(0, 1, 0))
         assert a == b
 
     def test_seed_changes_the_sequence(self):
-        s1 = [FaultInjector(FaultPlan(seed=1, drop_prob=0.3)).decide_send(0, 1)
+        s1 = [FaultInjector(FaultPlan(seed=1, drop_prob=0.3)).decide_send(0, 1, 0)
               for _ in range(1)]
         inj1 = FaultInjector(FaultPlan(seed=1, drop_prob=0.3))
         inj2 = FaultInjector(FaultPlan(seed=2, drop_prob=0.3))
-        seq1 = [inj1.decide_send(0, 1) for _ in range(300)]
-        seq2 = [inj2.decide_send(0, 1) for _ in range(300)]
+        seq1 = [inj1.decide_send(0, 1, 0) for _ in range(300)]
+        seq2 = [inj2.decide_send(0, 1, 0) for _ in range(300)]
         assert seq1 != seq2
         assert s1[0] == seq1[0]
 
     def test_loss_rate_roughly_matches_probability(self):
         inj = FaultInjector(FaultPlan(seed=0, drop_prob=0.1))
         for _ in range(4000):
-            inj.decide_send(0, 1)
+            inj.decide_send(0, 1, 0)
         observed = inj.stats.messages_dropped / 4000
         assert 0.06 < observed < 0.14
 
     def test_lost_frames_price_backoff_delay(self):
         policy = RetransmitPolicy(ack_timeout=0.5, backoff=2.0, max_retries=10)
         inj = FaultInjector(FaultPlan(seed=0, drop_prob=0.4, retransmit=policy))
-        total = sum(inj.decide_send(0, 1) for _ in range(500))
+        total = sum(inj.decide_send(0, 1, 0) for _ in range(500))
         assert total == pytest.approx(inj.stats.retransmit_seconds)
         assert inj.stats.retransmits == inj.stats.messages_dropped
         assert total > 0
@@ -118,7 +118,7 @@ class TestFaultInjector:
     def test_corruption_counts_separately_from_drops(self):
         inj = FaultInjector(FaultPlan(seed=0, corrupt_prob=0.2))
         for _ in range(1000):
-            inj.decide_send(0, 1)
+            inj.decide_send(0, 1, 0)
         assert inj.stats.messages_corrupted > 0
         assert inj.stats.messages_dropped == 0
 
@@ -129,7 +129,7 @@ class TestFaultInjector:
         )
         with pytest.raises(RetransmitExhausted):
             for _ in range(100):
-                inj.decide_send(0, 1)
+                inj.decide_send(0, 1, 0)
 
     def test_exhaustion_counts_every_lost_frame(self):
         """The link gives up once the original frame and its max_retries
@@ -161,11 +161,11 @@ class TestFaultInjector:
         exhausted = dropped = 0
         for _ in range(300):
             before = roomy.stats.messages_dropped
-            reference = roomy.decide_send(0, 1)
+            reference = roomy.decide_send(0, 1, 0)
             lost = roomy.stats.messages_dropped - before
             dropped += min(lost, max_retries + 1)
             try:
-                assert tight.decide_send(0, 1) == reference
+                assert tight.decide_send(0, 1, 0) == reference
                 assert lost <= max_retries
             except RetransmitExhausted:
                 exhausted += 1
@@ -178,7 +178,7 @@ class TestFaultInjector:
         inj = FaultInjector(
             FaultPlan(seed=0, delay_prob=0.5, delay_seconds=3.0)
         )
-        delays = [inj.decide_send(0, 1) for _ in range(200)]
+        delays = [inj.decide_send(0, 1, 0) for _ in range(200)]
         assert set(delays) == {0.0, 3.0}
         assert inj.stats.messages_delayed == sum(d > 0 for d in delays)
 

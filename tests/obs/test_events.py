@@ -94,7 +94,7 @@ def test_injector_publishes_message_loss_and_counts_retransmits():
                      retransmit=RetransmitPolicy(max_retries=50))
     injector = FaultInjector(plan)
     for _ in range(30):
-        injector.decide_send(0, 1)
+        injector.decide_send(0, 1, 0)
     losses = obs.get_event_bus().events("fault.message_loss")
     assert losses, "seeded 50% loss over 30 messages must lose at least one"
     ev = losses[0]
@@ -119,7 +119,7 @@ def test_injector_publishes_link_down_on_exhaustion():
     saw_exhaustion = False
     for _ in range(20):
         try:
-            injector.decide_send(0, 1)
+            injector.decide_send(0, 1, 0)
         except RetransmitExhausted:
             saw_exhaustion = True
             break
@@ -127,7 +127,9 @@ def test_injector_publishes_link_down_on_exhaustion():
     downs = obs.get_event_bus().events("fault.link_down")
     assert len(downs) == 1
     assert downs[0].fields["src"] == 0 and downs[0].fields["dst"] == 1
-    assert downs[0].fields["retries"] >= 2
+    # the link gives up after the original frame and its one retransmit
+    assert downs[0].fields["retries"] == 1
+    assert downs[0].fields["lost"] == 2
 
 
 def test_injector_publishes_kill_once():

@@ -8,7 +8,7 @@ cycle.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import SyncSGDConfig, train_sync_sgd
@@ -51,45 +51,55 @@ class TestSequentialConsistencyProperty:
                 assert np.allclose(cluster.final_state[k], ref[k], atol=1e-9)
 
 
+def _check_bucketed_matches_one_bucket(world, hidden, bucket_bytes, algorithm,
+                                      overlap, fault_seed):
+    def builder():
+        return mlp(5, hidden, 3, seed=3)
+
+    def run(**kwargs):
+        config = SyncSGDConfig(world=world, epochs=1, batch_size=16,
+                               algorithm=algorithm, shuffle_seed=3, **kwargs)
+        return train_sync_sgd(builder, lambda p: SGD(p, momentum=0.9),
+                              ConstantLR(0.05), _X, _Y, _X[:16], _Y[:16],
+                              config).final_state
+
+    one = run()
+    bucketed = run(bucket_bytes=bucket_bytes, overlap=overlap)
+    lossy = run(bucket_bytes=bucket_bytes, overlap=overlap,
+                fault_plan=FaultPlan(seed=fault_seed, drop_prob=0.1))
+    for k in one:
+        if algorithm == "ring":  # chunk ownership follows buffer position
+            assert np.abs(bucketed[k] - one[k]).max() <= 1e-12
+        else:
+            assert bucketed[k].tobytes() == one[k].tobytes()
+        assert lossy[k].tobytes() == bucketed[k].tobytes()
+
+
 class TestGradientExchangeProperty:
     """Every bucket plan partitions the one-bucket (monolithic) exchange."""
 
-    # bucket_bytes spans one bucket per parameter up to one bucket for the
-    # largest model (1176 B); the pinned example has 1-element buckets at 16
-    # ranks, i.e. buckets with fewer elements than ranks
-    @given(bucket_bytes=st.integers(1, 1240), world=st.integers(1, 16),
+    @given(data=st.data(), world=st.integers(1, 16),
            hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
            algorithm=st.sampled_from(["tree", "ring", "rhd"]),
            overlap=st.booleans(), fault_seed=st.integers(0, 1000))
-    @example(bucket_bytes=1, world=16, hidden=[1], algorithm="ring",
-             overlap=True, fault_seed=0)
-    @settings(max_examples=30, deadline=None,
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_bucketed_matches_one_bucket(self, bucket_bytes, world, hidden,
-                                         algorithm, overlap, fault_seed):
+    def test_bucketed_matches_one_bucket(self, data, world, hidden, algorithm,
+                                         overlap, fault_seed):
         if algorithm == "rhd":
             world = 1 << (world.bit_length() - 1)  # rhd needs a power of two
+        w_bytes = sum(p.data.nbytes for p in mlp(5, hidden, 3, seed=3).parameters())
+        bucket_bytes = data.draw(st.integers(1, w_bytes + 64), label="bucket_bytes")
+        _check_bucketed_matches_one_bucket(world, hidden, bucket_bytes, algorithm,
+                                           overlap, fault_seed)
 
-        def builder():
-            return mlp(5, hidden, 3, seed=3)
-
-        def run(**kwargs):
-            config = SyncSGDConfig(world=world, epochs=1, batch_size=16,
-                                   algorithm=algorithm, shuffle_seed=3, **kwargs)
-            return train_sync_sgd(builder, lambda p: SGD(p, momentum=0.9),
-                                  ConstantLR(0.05), _X, _Y, _X[:16], _Y[:16],
-                                  config).final_state
-
-        one = run()
-        bucketed = run(bucket_bytes=bucket_bytes, overlap=overlap)
-        lossy = run(bucket_bytes=bucket_bytes, overlap=overlap,
-                    fault_plan=FaultPlan(seed=fault_seed, drop_prob=0.1))
-        for k in one:
-            if algorithm == "ring":  # chunk ownership follows buffer position
-                assert np.abs(bucketed[k] - one[k]).max() <= 1e-12
-            else:
-                assert bucketed[k].tobytes() == one[k].tobytes()
-            assert lossy[k].tobytes() == bucketed[k].tobytes()
+    @pytest.mark.parametrize("algorithm", ["tree", "ring", "rhd"])
+    def test_buckets_smaller_than_world(self, algorithm):
+        """One parameter per bucket at 16 ranks: buckets of 1, 3 and 5
+        elements, fewer than ranks, so ring and rhd leave ranks without
+        a chunk."""
+        _check_bucketed_matches_one_bucket(16, [1], 1, algorithm,
+                                           overlap=True, fault_seed=0)
 
 
 class TestMasterModeProperty:
