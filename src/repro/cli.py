@@ -87,8 +87,9 @@ def _add_train_parser(sub) -> None:
     mem.add_argument("--check-zero-alloc", action="store_true",
                      help="after training, run one extra epoch (short batch "
                           "and evaluation included) and fail unless the slab "
-                          "did not grow and every step shape's slab bytes "
-                          "equal MemoryPlan's prediction (implies "
+                          "did not grow, every step shape's slab bytes "
+                          "equal MemoryPlan's prediction and no evaluation "
+                          "plan outgrows the largest train-step plan (implies "
                           "--static-memory; serial runs only)")
     obs = p.add_argument_group("telemetry (see docs/observability.md)")
     obs.add_argument("--trace", default=None, metavar="PATH",
@@ -242,8 +243,9 @@ def cmd_train(args) -> int:
 
 
 def _check_zero_alloc(trainer, ds, batch_size: int) -> bool:
-    """One extra epoch must not grow the slab, and every recorded step
-    shape's slab bytes must equal :class:`MemoryPlan`'s prediction."""
+    """One extra epoch must not grow the slab, every recorded step shape's
+    slab bytes must equal :class:`MemoryPlan`'s prediction, and no
+    evaluation plan may need more slab than the largest train-step plan."""
     from .nn.memory import MemoryPlan
 
     console = get_console()
@@ -254,19 +256,22 @@ def _check_zero_alloc(trainer, ds, batch_size: int) -> bool:
     stats = trainer.arena_stats()
     grown = stats["bytes_allocated"] - before
     exact = True
+    pools = {True: 0, False: 0}  # largest slab of a train-step/evaluation plan
     for plan in trainer.memory.plans.values():
         kind = "train-step" if plan.training else "evaluation"
         predicted = MemoryPlan.build(trainer.model, ds.input_shape, plan.batch_size,
                                      loss=trainer.loss, training=plan.training)
         exact &= predicted.pool_bytes == plan.pool_bytes
+        pools[plan.training] = max(pools[plan.training], plan.pool_bytes)
         console.info(f"  {kind} plan, batch {plan.batch_size}: slab "
                      f"{plan.pool_bytes:,} bytes (live peak {plan.peak_bytes:,}); "
                      f"MemoryPlan predicts {predicted.pool_bytes:,} "
                      f"(live peak {predicted.peak_bytes:,})")
     console.info(f"slab: {stats['pool_bytes']:,} bytes for "
                  f"{len(trainer.memory.plans)} step shapes, {grown:,} bytes "
-                 f"allocated over one extra epoch")
-    if grown or not exact:
+                 f"allocated over one extra epoch; largest evaluation plan "
+                 f"{pools[False]:,} bytes, largest train-step plan {pools[True]:,}")
+    if grown or not exact or pools[False] > pools[True]:
         console.info("zero-alloc check FAILED")
         return False
     console.info("zero-alloc check passed")

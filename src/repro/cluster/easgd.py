@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..comm import Communicator, NetworkProfile, run_cluster
-from ..core.metrics import top1_accuracy
+from ..core.metrics import evaluate
 from ..core.optimizer import Optimizer
 from ..core.schedules import ConstantLR, Schedule
 from ..nn.layers.base import Module
@@ -113,10 +113,7 @@ def train_easgd(
                     center = center + config.alpha * sum(diffs.values())
                     rounds += 1
             unflatten_params(center, params)
-            model.eval()
-            preds = [model.forward(x_test[lo : lo + 512])
-                     for lo in range(0, len(x_test), 512)]
-            acc = top1_accuracy(np.concatenate(preds), y_test)
+            acc = evaluate(model, x_test, y_test, config.batch_size)
             return {"center_acc": acc, "rounds": rounds, "center": center}
 
         # worker: local SGD with periodic elastic exchange
@@ -147,10 +144,7 @@ def train_easgd(
         unflatten_params(pulled, params)
         comm.send(0, "done", tag=1)
 
-        model.eval()
-        preds = [model.forward(x_test[lo : lo + 512])
-                 for lo in range(0, len(x_test), 512)]
-        acc = top1_accuracy(np.concatenate(preds), y_test)
+        acc = evaluate(model, x_test, y_test, config.batch_size)
         return {"worker_acc": acc, "state": flatten_params(params)}
 
     results, fabric = run_cluster(config.world, worker, profile=config.profile)

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..comm.fabric import NetworkProfile
-from ..core.metrics import top1_accuracy
+from ..core.metrics import evaluate
 from ..core.optimizer import Optimizer
 from ..core.schedules import ConstantLR, Schedule
 from ..nn.layers.base import Module
@@ -131,13 +131,8 @@ def train_param_server(
         scale = 1.0 + (jitter_rng.uniform(-j, j) if j > 0 else 0.0)
         return config.compute_time * scale
 
-    def evaluate() -> float:
-        server_model.eval()
-        preds = []
-        for lo in range(0, len(x_test), 512):
-            preds.append(server_model.forward(x_test[lo : lo + 512]))
-        server_model.train()
-        return top1_accuracy(np.concatenate(preds), y_test)
+    def test_accuracy() -> float:
+        return evaluate(server_model, x_test, y_test, config.batch_size)
 
     # Event heap: (arrival_time, tiebreak, worker, gradient, fetch_version).
     # Gradients are computed eagerly at fetch time (weights are only known
@@ -176,11 +171,11 @@ def train_param_server(
 
         if config.eval_every and result.updates_applied % config.eval_every == 0:
             result.accuracy_curve.append(
-                (result.updates_applied, apply_time, evaluate())
+                (result.updates_applied, apply_time, test_accuracy())
             )
 
         if result.updates_applied < config.total_updates:
             schedule_cycle(worker, apply_time)
 
-    result.final_test_accuracy = 0.0 if result.diverged else evaluate()
+    result.final_test_accuracy = 0.0 if result.diverged else test_accuracy()
     return result

@@ -1,12 +1,12 @@
-"""Accuracy metrics and streaming averages."""
+"""Accuracy metrics, the evaluation loop and streaming averages."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-__all__ = ["top_k_accuracy", "top1_accuracy", "RunningMean", "EpochRecord"]
+__all__ = ["top_k_accuracy", "top1_accuracy", "evaluate", "RunningMean", "EpochRecord"]
 
 
 def top_k_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 1) -> float:
@@ -26,6 +26,25 @@ def top_k_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 1) -> float
 def top1_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
     """Top-1 test accuracy — the paper's only reported metric."""
     return top_k_accuracy(logits, targets, k=1)
+
+
+def evaluate(model, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    """Top-1 accuracy of ``model`` on ``(x, y)`` in eval mode, ``batch_size``
+    examples a pass, counted per batch (under static memory the next pass
+    reuses the logits' bytes) and divided once; ``nan`` for an empty set.
+    Callers pass the largest batch their device trains at, so inference
+    never needs more memory than a training step.  Restores the mode."""
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    training = model.training
+    model.eval()
+    correct = 0
+    for lo in range(0, len(x), batch_size):
+        logits = model.forward(x[lo : lo + batch_size])
+        correct += int(np.count_nonzero(logits.argmax(axis=1) == y[lo : lo + batch_size]))
+    if training:
+        model.train()
+    return correct / len(x) if len(x) else float("nan")
 
 
 class RunningMean:
@@ -68,11 +87,4 @@ class EpochRecord:
     iterations: int
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "learning_rate": self.learning_rate,
-            "iterations": self.iterations,
-        }
+        return asdict(self)

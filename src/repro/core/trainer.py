@@ -19,7 +19,7 @@ from ..nn.losses import SoftmaxCrossEntropy
 from ..nn.memory import MemoryContext
 from ..obs import timed as _timed
 from ..obs.events import publish as _publish
-from .metrics import EpochRecord, RunningMean, top1_accuracy
+from .metrics import EpochRecord, RunningMean, evaluate, top1_accuracy
 from .optimizer import Optimizer
 from .schedules import ConstantLR, Schedule
 
@@ -156,19 +156,11 @@ class Trainer:
         return loss_sum / n, correct / n
 
     # -- evaluation --------------------------------------------------------------
-    def evaluate(
-        self, x: np.ndarray, y: np.ndarray, batch_size: int = 256
-    ) -> float:
-        """Top-1 accuracy over a held-out set, batched to bound memory."""
+    def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+        """Top-1 accuracy over a held-out set, ``batch_size`` examples at a
+        time (see :func:`repro.core.metrics.evaluate`)."""
         with _timed("trainer.evaluate", examples=len(x)):
-            self.model.eval()
-            correct = RunningMean()
-            for lo in range(0, len(x), batch_size):
-                xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
-                logits = self.model.forward(xb)
-                correct.update(top1_accuracy(logits, yb), weight=len(xb))
-            self.model.train()
-            return correct.mean
+            return evaluate(self.model, x, y, batch_size)
 
     # -- full loop -----------------------------------------------------------------
     def fit(
@@ -243,7 +235,8 @@ class Trainer:
                     epoch=epoch + 1,
                     train_loss=loss_avg.mean,
                     train_accuracy=acc_avg.mean,
-                    test_accuracy=self.evaluate(x_test, y_test),
+                    test_accuracy=self.evaluate(  # at the step's largest chunk
+                        x_test, y_test, min(micro_batch_size or n, batch_size)),
                     learning_rate=lr_last,
                     iterations=iters,
                 )

@@ -22,7 +22,8 @@ bytes are shared by every buffer whose lifetime does not overlap:
   in request order; each request is checked against the recorded
   ``(owner, tag, shape, dtype)`` and a mismatch raises.  The slab is sized
   to the largest plan seen, so every step shape (training batch, short
-  final batch, evaluation batch) shares one buffer.
+  final batch, evaluation batch) shares one buffer; evaluation runs at the
+  training batch, so the largest plan is a training step's.
 
 A pass starts when the context's *root* — the module ``bind_memory`` was
 called on, which carries the context's :meth:`MemoryContext.begin_hook` —

@@ -72,6 +72,7 @@ def save_checkpoint(
     if not final.endswith(".npz"):  # np.savez's extension convention
         final += ".npz"
     tmp = final + ".tmp"
+    os.makedirs(os.path.dirname(final) or ".", exist_ok=True)
     try:
         with open(tmp, "wb") as fh:
             np.savez_compressed(fh, **arrays)

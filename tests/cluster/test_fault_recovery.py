@@ -114,6 +114,12 @@ class TestCrashRecovery:
             np.testing.assert_allclose(res.final_state[k],
                                        clean.final_state[k], atol=1e-12)
 
+    def test_missing_checkpoint_dir_is_created(self, tmp_path):
+        ckpt_dir = tmp_path / "not" / "yet"
+        res = run(fault_plan=FaultPlan(kills={1: 7}), checkpoint_dir=ckpt_dir)
+        assert res.recoveries == 1
+        assert (ckpt_dir / "ckpt_epoch0001.npz").is_file()
+
     def test_restart_overhead_charged_per_recovery(self):
         cheap = run(fault_plan=FaultPlan(kills={1: 7}))
         costly = run(fault_plan=FaultPlan(kills={1: 7}),

@@ -8,6 +8,8 @@ allreduce and master-worker modes, across rank counts (including ranks that
 don't divide the batch).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -230,9 +232,9 @@ class TestStaticMemory:
         assert max_param_diff(ref_state, planned.final_state) < 1e-9
 
     def test_evaluation_counts_each_batch_before_the_next_overwrites_it(self):
-        # Rank 0 evaluates in batches of 512; under static memory every
-        # batch's logits reuse the same slab bytes, so the accuracy must be
-        # counted batch by batch, not over logits kept across batches.
+        # Rank 0 evaluates in batches of its shard (16); under static memory
+        # every batch's logits reuse the same slab bytes, so the accuracy
+        # must be counted batch by batch, not over logits kept across batches.
         rng = np.random.default_rng(3)
         y_test = rng.integers(0, 3, size=1024)
         x_test = _CENTRES[y_test] + rng.normal(size=(1024, 8)) * 0.5
@@ -245,3 +247,30 @@ class TestStaticMemory:
             accs.append([h.test_accuracy for h in res.history])
         assert accs[1] == accs[0]
         assert accs[0][-1] > 0.9
+
+    def test_rank0_slab_is_its_shards_training_plan(self):
+        # Rank 0 evaluates at its shard, so its training step, not the test
+        # set, sizes its slab: 72 = 2 x 32 + 8 gives rank 0 shards of 8 and 2.
+        from repro.nn.losses import SoftmaxCrossEntropy
+        from repro.nn.memory import MemoryPlan
+        from repro.nn.models import micro_alexnet
+
+        replicas = {}
+
+        def builder():
+            model = micro_alexnet(num_classes=4, image_size=12, norm="lrn", seed=SEED)
+            replicas[threading.current_thread().name] = model
+            return model
+
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(72, 3, 12, 12)), rng.integers(0, 4, size=72)
+        xt, yt = rng.normal(size=(64, 3, 12, 12)), rng.integers(0, 4, size=64)
+        config = SyncSGDConfig(world=4, epochs=2, batch_size=32,
+                               shuffle_seed=SEED, static_memory=True)
+        train_sync_sgd(builder, sgd_builder, ConstantLR(0.05), x, y, xt, yt, config)
+        rank0 = replicas["rank-0"]
+        train_pool = max(
+            MemoryPlan.build(rank0, (3, 12, 12), b, loss=SoftmaxCrossEntropy(),
+                             training=True).pool_bytes
+            for b in (8, 2))
+        assert rank0._memory.arena.stats()["pool_bytes"] == train_pool

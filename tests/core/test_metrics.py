@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import RunningMean, top1_accuracy, top_k_accuracy
-from repro.core.metrics import EpochRecord
+from repro.core.metrics import EpochRecord, evaluate
 
 
 def test_top1_perfect():
@@ -66,3 +66,36 @@ def test_epoch_record_as_dict():
     r = EpochRecord(1, 0.5, 0.8, 0.7, 0.01, 100)
     d = r.as_dict()
     assert d["epoch"] == 1 and d["test_accuracy"] == 0.7
+
+
+@pytest.mark.parametrize("name", ["micro_resnet", "micro_alexnet", "mlp"])
+def test_evaluate_is_exact_at_any_batch(name):
+    from repro.core import SGD, Trainer
+    from repro.data import proxy_dataset
+    from repro.nn.models import build_model
+
+    ds = proxy_dataset("tiny")
+    kwargs = {"micro_alexnet": {"image_size": ds.input_shape[-1]},
+              "mlp": {"in_features": int(np.prod(ds.input_shape)), "hidden": [32],
+                      "flatten_input": True}}.get(name, {})
+    model = build_model(name, num_classes=ds.num_classes, seed=3, **kwargs)
+    trainer = Trainer(model, SGD(model.parameters(), momentum=0.9), 0.05)
+    trainer.fit(ds.x_train, ds.y_train, ds.x_test, ds.y_test, epochs=1, batch_size=32)
+    model.eval()
+    whole = top1_accuracy(model.forward(ds.x_test), ds.y_test)
+    model.train()
+    n = len(ds.x_test)
+    accs = [evaluate(model, ds.x_test, ds.y_test, b) for b in (1, 7, 32, n, 2 * n)]
+    assert accs == [whole] * len(accs)
+    assert model.training  # the caller's mode is restored
+
+
+def test_evaluate_edge_cases():
+    from repro.nn.models import mlp
+
+    model = mlp(4, [3], 2, seed=0).eval()
+    x = np.zeros((0, 4))
+    assert np.isnan(evaluate(model, x, np.zeros(0, dtype=int), 8))
+    assert not model.training  # eval mode is kept, too
+    with pytest.raises(ValueError):
+        evaluate(model, x, np.zeros(0, dtype=int), 0)

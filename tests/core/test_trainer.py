@@ -169,7 +169,8 @@ def _allocated_per_epoch(trainer, fit):
 
 def test_static_memory_pool_is_flat_over_fit_with_shape_churn():
     # 100 examples at batch 32 leave a short batch of 4; 300 test examples
-    # are evaluated as 256 + 44: four step shapes, all met in epoch 1.
+    # are evaluated at the training batch as 9 x 32 + 12: four step shapes,
+    # all met in epoch 1.
     x, y = toy_problem(n=100)
     xt, yt = toy_problem(n=300, seed=1)
     trainer = make_static_trainer()
@@ -179,6 +180,34 @@ def test_static_memory_pool_is_flat_over_fit_with_shape_churn():
     assert len(trainer.memory.plans) == 4
     assert trainer.arena_stats()["pool_bytes"] == max(
         p.pool_bytes for p in trainer.memory.plans.values())
+
+
+@pytest.mark.parametrize("micro_batch_size, shapes", [
+    (None, {(16, True), (8, True), (16, False), (4, False)}),
+    (8, {(8, True), (8, False), (4, False)}),
+])
+def test_static_memory_slab_is_the_largest_training_plan(micro_batch_size, shapes):
+    # Evaluation runs at the largest chunk a step trains at, and an inference
+    # pass needs less than a training pass at the same batch, so a test set
+    # larger than the batch leaves the slab at the training plan
+    # (40 = 2 x 16 + 8 training, 100 = 6 x 16 + 4 = 12 x 8 + 4 evaluation).
+    from repro.nn.memory import MemoryPlan
+    from repro.nn.models import micro_resnet
+
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(40, 3, 8, 8)), rng.integers(0, 4, size=40)
+    xt, yt = rng.normal(size=(100, 3, 8, 8)), rng.integers(0, 4, size=100)
+    model = micro_resnet(num_classes=4, seed=2)
+    trainer = Trainer(model, SGD(model.parameters(), momentum=0.9), 0.05,
+                      static_memory=True)
+    trainer.fit(x, y, xt, yt, epochs=1, batch_size=16, micro_batch_size=micro_batch_size)
+    plans = trainer.memory.plans.values()
+    assert {(p.batch_size, p.training) for p in plans} == shapes
+    train_pool = max(
+        MemoryPlan.build(model, (3, 8, 8), p.batch_size, loss=trainer.loss,
+                         training=True).pool_bytes
+        for p in plans if p.training)
+    assert trainer.arena_stats()["pool_bytes"] == train_pool
 
 
 def test_static_memory_pool_is_flat_over_batch_schedule():

@@ -1,5 +1,6 @@
 """CLI smoke tests."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -140,3 +141,22 @@ def test_check_zero_alloc_rejects_cluster_runs():
     with pytest.raises(SystemExit, match="serial"):
         main(["train", "--model", "mlp", "--world", "2",
               "--dataset", "tiny", "--epochs", "1", "--check-zero-alloc"])
+
+
+def test_check_zero_alloc_fails_when_evaluation_outgrows_training(capsys):
+    from repro.cli import _check_zero_alloc
+    from repro.core import SGD, Trainer
+    from repro.data import proxy_dataset
+    from repro.nn.models import mlp
+
+    ds = proxy_dataset("tiny")
+    model = mlp(int(np.prod(ds.input_shape)), [16], ds.num_classes, flatten_input=True)
+    trainer = Trainer(model, SGD(model.parameters()), 0.05, static_memory=True)
+    trainer.fit(ds.x_train, ds.y_train, ds.x_test, ds.y_test, epochs=1, batch_size=8)
+    # an evaluation plan at the whole test set outgrows the batch-8 step
+    trainer.evaluate(ds.x_test, ds.y_test, batch_size=len(ds.x_test))
+    assert not _check_zero_alloc(trainer, ds, 8)
+    out = capsys.readouterr().out
+    assert "0 bytes allocated" in out  # the slab did not grow: only the new rule fails
+    assert "largest evaluation plan" in out and "largest train-step plan" in out
+    assert "zero-alloc check FAILED" in out
