@@ -6,7 +6,8 @@ phase-plane clipped scatter every overlapping-window backward takes (at
 stride 1 and at an even stride-2 downsample), the 1×1 im2col-free route,
 the AlexNet-LRN proxy's window layers (LRN, max pooling), and the
 end-to-end proxy train steps whose wall-clock the paper's E·n/B
-iteration count multiplies.
+iteration count multiplies (at the CI batch, and at the serial end-to-end
+workload's batch 96, where the helper thread forks).
 """
 
 from __future__ import annotations
@@ -202,16 +203,16 @@ def _maxpool_fwdbwd():
     return _fwdbwd(MaxPool2D(2, 2), x, _input(n=16, c=16, s=6, seed=1))
 
 
-def _train_step(model_name: str, **kwargs):
+def _train_step(model_name: str, batch=_BATCH, image=_IMAGE, static_memory=False, **kwargs):
     from repro.core import SGD
     from repro.core.trainer import Trainer
     from repro.nn.models import build_model
 
     model = build_model(model_name, num_classes=10, seed=0, **kwargs)
-    trainer = Trainer(model, SGD(model.parameters()), 0.01)
+    trainer = Trainer(model, SGD(model.parameters()), 0.01, static_memory=static_memory)
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(_BATCH, 3, _IMAGE, _IMAGE))
-    y = rng.integers(0, 10, size=_BATCH)
+    x = rng.normal(size=(batch, 3, image, image))
+    y = rng.integers(0, 10, size=batch)
 
     def step():
         with np.errstate(all="ignore"):
@@ -238,3 +239,16 @@ def _alexnet_step():
 )
 def _resnet_step():
     return _train_step("micro_resnet")
+
+
+# The end-to-end serial workload's step (batch 96, 12×12, static memory):
+# the shape at which the convolutions and BatchNorm fork onto the helper
+# thread (``repro.nn.parallel``) when a second core is free.
+@register(
+    "train_step.resnet_proxy.serial96",
+    area="nn",
+    params={"model": "micro_resnet", "batch": 96, "image": 12, "static_memory": True},
+    repeats=15,
+)
+def _resnet_serial_step():
+    return _train_step("micro_resnet", batch=96, image=12, static_memory=True)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..initializers import Initializer, he_normal, zeros
+from ..parallel import both
 from ..tensor import Parameter, cached_einsum
 from .base import Module, Shape
 
@@ -418,18 +419,14 @@ class Conv2D(Module):
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, c, h, w = x.shape
         k, s, p, g = self.kernel_size, self.stride, self.padding, self.groups
-        cg = c // g
         og = self.out_channels // g
         oh, ow = conv_output_hw(h, w, k, k, s, p)
-        if self._is_pointwise():
+        src, copy_in = x, False
+        pointwise = self._is_pointwise()
+        if pointwise:
             # The "columns" of a 1×1 kernel are the input pixels themselves
             # (stride just subsamples them) — no im2col copy.
-            if s == 1:
-                cols_g = x.reshape(n, g, cg, oh * ow)
-            else:
-                xs = self._buf("xs", (n, c, oh, ow), x.dtype)
-                xs[...] = x[:, :, ::s, ::s]
-                cols_g = xs.reshape(n, g, cg, oh * ow)
+            cols = x if s == 1 else self._buf("xs", (n, c, oh, ow), x.dtype)
         else:
             cols = self._buf("cols", (n, c * k * k, oh * ow), x.dtype)
             if p > 0:
@@ -438,11 +435,11 @@ class Conv2D(Module):
                 # interior through ``input_slot``, nothing at all.
                 fused, self._fused = self._fused, None
                 if fused is not None and x is fused[0]:
-                    xpad = fused[1]
+                    src = fused[1]
                 else:
-                    xpad = fill_border(
+                    src = fill_border(
                         self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), x.dtype), p, 0.0)
-                    xpad[:, :, p:-p, p:-p] = x
+                    copy_in = True
                 # Unbound, a training forward holds its padded buffer until
                 # the next forward.  Freed here, it lets glibc trim the heap
                 # top every step and fault it back in (a 3×3 conv's
@@ -451,16 +448,28 @@ class Conv2D(Module):
                 # pass's freed buffers and keeps glibc from returning them,
                 # so peak RSS came to depend on which thread's malloc arena
                 # each evaluation ran in.
-                self._held = xpad if self._memory is None and self.training else None
-                im2col(xpad, k, k, s, 0, out=cols)
-            else:
-                im2col(x, k, k, s, 0, out=cols)
-            cols_g = cols.reshape(n, g, cg * k * k, oh * ow)
-        w2 = self.weight.data.reshape(g, og, cg * k * k)
-        # (1, g, og, ckk) @ (n, g, ckk, L) -> (n, g, og, L): BLAS batched GEMM,
-        # in the float64 of the weights whatever the input dtype.
+                self._held = src if self._memory is None and self.training else None
+        cols_g = cols.reshape(n, g, -1, oh * ow)
+        w2 = self.weight.data.reshape(g, og, cols_g.shape[2])
         y = out if out is not None else self._buf("y", (n, self.out_channels, oh, ow), np.float64)
-        np.matmul(w2[None], cols_g, out=y.reshape(n, g, og, oh * ow))
+        y_g = y.reshape(n, g, og, oh * ow)
+
+        def rows(lo: int, hi: int) -> None:
+            if copy_in:
+                src[lo:hi, :, p:-p, p:-p] = x[lo:hi]
+            if not pointwise:
+                im2col(src[lo:hi], k, k, s, 0, out=cols[lo:hi])
+            elif s > 1:
+                cols[lo:hi] = x[lo:hi, :, ::s, ::s]
+            # (1, g, og, ckk) @ (n, g, ckk, L) -> (n, g, og, L): BLAS batched
+            # GEMM, in the float64 of the weights whatever the input dtype.
+            np.matmul(w2[None], cols_g[lo:hi], out=y_g[lo:hi])
+
+        # Every call above is per image, so the batch's two halves are the
+        # same arithmetic on disjoint rows as the whole batch in one call.
+        half = n // 2
+        both(lambda: rows(half, n), lambda: rows(0, half), cols.size if half else 0,
+             whole=lambda: rows(0, n))
         if self.bias is not None:
             y += self.bias.data[None, :, None, None]
         self._cache = (x.shape, cols_g, (oh, ow)) if self.training else None
@@ -470,54 +479,60 @@ class Conv2D(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         x_shape, cols_g, (oh, ow) = self._cache
+        self._cache = None
         n = x_shape[0]
         k, s, p, g = self.kernel_size, self.stride, self.padding, self.groups
-        cg = self.in_channels // g
         og = self.out_channels // g
         ckk = cols_g.shape[2]
         span = oh * ow
         go = grad_out.reshape(n, g, og, span)
         w2 = self.weight.data.reshape(g, og, ckk)
+        # Every buffer is requested here, before the fork, and released
+        # after the join, so the recorded lifetimes do not depend on
+        # whether the helper thread was taken.
         dw = self._buf("dw", (g, og, ckk), np.float64)
         dcols = self._buf("dcols", (n, g, ckk, span), np.float64)
-        if n * g * og * ckk * span <= _BATCHED_MATMUL_MAX_MACS:
+        small = n * g * og * ckk * span <= _BATCHED_MATMUL_MAX_MACS
+        if small:
             # Fold the batch into the GEMM columns: one (og × nL)·(nL × ckk)
             # product per group beats einsum's dispatch overhead here.  The
             # staging copies keep their operands' dtypes, so the GEMM runs
             # in the precision of ``grad_out``/``cols``.
             t1 = self._buf("t1", (g, og, n, span), grad_out.dtype)
-            t1[...] = go.transpose(1, 2, 0, 3)
             t2 = self._buf("t2", (g, n, span, ckk), cols_g.dtype)
-            t2[...] = cols_g.transpose(1, 0, 3, 2)
-            np.matmul(t1.reshape(g, og, n * span), t2.reshape(g, n * span, ckk), out=dw)
-            del t1, t2
-            np.matmul(w2.transpose(0, 2, 1)[None], go, out=dcols)
-        else:
-            # Large problems: einsum's contraction order wins; the path is
-            # memoised per shape so only the first call pays for planning.
-            cached_einsum("ngol,ngcl->goc", go, cols_g, out=dw)
-            cached_einsum("goc,ngol->ngcl", w2, go, out=dcols)
-        self._cache = None
-        del cols_g  # the columns are dead: their bytes serve dx below
-        self.weight.grad += dw.reshape(self.weight.data.shape)
-        del dw
-        if self.bias is not None:
-            db = self._buf("db", (self.out_channels,), grad_out.dtype)
-            np.sum(grad_out, axis=(0, 2, 3), out=db)
-            self.bias.grad += db
-            del db
-        if self._is_pointwise():
-            # Adjoint of the strided subsampling: no col2im needed.
-            if s == 1:
-                dxv = dcols.reshape(x_shape)
-                if out is not None:
-                    np.copyto(out, dxv)
-                    return out
-                return dxv
-            dx = out if out is not None else self._buf("dx", x_shape, np.float64)
-            dx[...] = 0.0
-            dx[:, :, ::s, ::s] = dcols.reshape(n, self.in_channels, oh, ow)
-            return dx
-        dcols = dcols.reshape(n, self.in_channels * k * k, span)
-        dx = out if out is not None else self._buf("dx", x_shape, np.float64)
-        return window_grad(dcols, x_shape, k, s, p, out=dx, buf=self._buf)
+        db = None if self.bias is None else self._buf("db", (self.out_channels,), grad_out.dtype)
+        pointwise = self._is_pointwise()
+        dx = out
+        if dx is None and not (pointwise and s == 1):
+            dx = self._buf("dx", x_shape, np.float64)
+
+        def weight_grad() -> None:
+            if small:
+                t1[...] = go.transpose(1, 2, 0, 3)
+                t2[...] = cols_g.transpose(1, 0, 3, 2)
+                np.matmul(t1.reshape(g, og, n * span), t2.reshape(g, n * span, ckk), out=dw)
+            else:
+                # Large problems: einsum's contraction order wins; the path
+                # is memoised per shape so only the first call plans.
+                cached_einsum("ngol,ngcl->goc", go, cols_g, out=dw)
+            self.weight.grad += dw.reshape(self.weight.data.shape)
+            if db is not None:
+                np.sum(grad_out, axis=(0, 2, 3), out=db)
+                self.bias.grad += db
+
+        def input_grad() -> None:
+            if small:
+                np.matmul(w2.transpose(0, 2, 1)[None], go, out=dcols)
+            else:
+                cached_einsum("goc,ngol->ngcl", w2, go, out=dcols)
+            if not pointwise:
+                window_grad(dcols.reshape(n, self.in_channels * k * k, span), x_shape,
+                            k, s, p, out=dx, buf=self._buf)
+            elif s > 1:  # adjoint of the strided subsampling: no col2im needed
+                dx[...] = 0.0
+                dx[:, :, ::s, ::s] = dcols.reshape(n, self.in_channels, oh, ow)
+            elif dx is not None:
+                np.copyto(dx, dcols.reshape(x_shape))
+
+        both(weight_grad, input_grad, cols_g.size)
+        return dcols.reshape(x_shape) if dx is None else dx

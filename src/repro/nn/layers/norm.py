@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..parallel import both
 from ..tensor import Parameter
 from .base import Module, Shape
 
@@ -118,36 +119,53 @@ class BatchNorm(Module):
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         y, xhat = self._normalize(x, mean, inv_std, out=out)
-        self._cache = (xhat, inv_std) if self.training else None
+        self._cache = (xhat, inv_std, float(x.size // x.shape[1])) if self.training else None
         return y
+
+    def _allreduce(self, vec: np.ndarray) -> np.ndarray:
+        """Sum of ``vec`` over the ranks that share this layer's batch:
+        local BatchNorm normalises its own batch, so this is the identity."""
+        return vec
 
     def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (training mode)")
-        xhat, inv_std = self._cache
+        xhat, inv_std, count = self._cache
+        self._cache = None
         axes = self._reduce_axes(grad_out.ndim)
         nd = grad_out.ndim
-        m = float(np.prod([grad_out.shape[a] for a in axes]))
-        # Standard BN backward,
-        #   dx = (inv_std / m) * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
-        # evaluated into reusable buffers one binary op at a time.
+        # Standard BN backward over the ``count`` elements per channel,
+        #   dx = (inv_std / count) * (count*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
+        # evaluated into reusable buffers one binary op at a time.  The two
+        # reduction terms go through ``_allreduce``.  Every buffer is
+        # requested before the fork; gamma/beta's reductions (their own
+        # product buffer ``tg``) run beside the dx chain.
+        tg = self._buf("tg", grad_out.shape, np.float64)
         t = self._buf("t", grad_out.shape, np.float64)
-        np.multiply(grad_out, xhat, out=t)
-        self.gamma.grad += t.sum(axis=axes)
-        self.beta.grad += grad_out.sum(axis=axes)
-        g = self._expand(self.gamma.data, nd)
         dxh = self._buf("dxh", grad_out.shape, np.float64)
-        np.multiply(grad_out, g, out=dxh)
-        sum_dxhat = self._expand(dxh.sum(axis=axes), nd)
-        np.multiply(dxh, xhat, out=t)
-        sum_dxhat_xhat = self._expand(t.sum(axis=axes), nd)
         dx = out if out is not None else self._buf("dx", grad_out.shape, np.float64)
-        np.multiply(dxh, m, out=dx)
-        dx -= sum_dxhat
-        np.multiply(xhat, sum_dxhat_xhat, out=t)
-        dx -= t
-        dx *= self._expand(inv_std, nd) / m
-        self._cache = None
+
+        def param_grads() -> None:
+            # Kept local, also under SyncBatchNorm: the cluster's gradient
+            # allreduce sums them across ranks like every other parameter,
+            # which is exactly the global sum the serial run computes.
+            np.multiply(grad_out, xhat, out=tg)
+            self.gamma.grad += tg.sum(axis=axes)
+            self.beta.grad += grad_out.sum(axis=axes)
+
+        def input_grad() -> None:
+            np.multiply(grad_out, self._expand(self.gamma.data, nd), out=dxh)
+            np.multiply(dxh, xhat, out=t)
+            # sums over an empty shard are zeros, so such a rank still joins
+            total = self._allreduce(np.concatenate([dxh.sum(axis=axes), t.sum(axis=axes)]))
+            c = self.num_features
+            np.multiply(dxh, count, out=dx)
+            np.subtract(dx, self._expand(total[:c], nd), out=dx)
+            np.multiply(xhat, self._expand(total[c:], nd), out=t)
+            np.subtract(dx, t, out=dx)
+            np.multiply(dx, self._expand(inv_std, nd) / count, out=dx)
+
+        both(param_grads, input_grad, grad_out.size)
         return dx
 
 
@@ -207,41 +225,6 @@ class SyncBatchNorm(BatchNorm):
         y, xhat = self._normalize(x, mean, inv_std, out=out)
         self._cache = (xhat, inv_std, count)
         return y
-
-    def backward(self, grad_out: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward (training mode)")
-        if len(self._cache) == 2:  # eval-mode cache from the parent class
-            return super().backward(grad_out, out=out)
-        xhat, inv_std, count = self._cache
-        axes = self._reduce_axes(grad_out.ndim)
-        nd = grad_out.ndim
-        # gamma/beta gradients stay LOCAL — the cluster's ordinary gradient
-        # allreduce sums them across ranks like every other parameter, which
-        # is exactly the global sum the serial run computes.  Sums over an
-        # empty shard are zeros, so such a rank still joins the allreduce.
-        t = self._buf("t", grad_out.shape, np.float64)
-        np.multiply(grad_out, xhat, out=t)
-        self.gamma.grad += t.sum(axis=axes)
-        self.beta.grad += grad_out.sum(axis=axes)
-        g = self._expand(self.gamma.data, nd)
-        dxh = self._buf("dxh", grad_out.shape, np.float64)
-        np.multiply(grad_out, g, out=dxh)
-        np.multiply(dxh, xhat, out=t)
-        # ...but dx needs the *global* reduction terms of the BN backward
-        local = np.concatenate([dxh.sum(axis=axes), t.sum(axis=axes)])
-        total = self._allreduce(local)
-        n = self.num_features
-        sum_dxhat = self._expand(total[:n], nd)
-        sum_dxhat_xhat = self._expand(total[n:], nd)
-        dx = out if out is not None else self._buf("dx", grad_out.shape, np.float64)
-        np.multiply(dxh, count, out=dx)
-        dx -= sum_dxhat
-        np.multiply(xhat, sum_dxhat_xhat, out=t)
-        dx -= t
-        dx *= self._expand(inv_std, nd) / count
-        self._cache = None
-        return dx
 
 
 class LocalResponseNorm(Module):

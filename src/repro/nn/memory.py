@@ -28,7 +28,12 @@ bytes are shared by every buffer whose lifetime does not overlap:
 A pass starts when the context's *root* — the module ``bind_memory`` was
 called on, which carries the context's :meth:`MemoryContext.begin_hook` —
 runs ``forward``, and a pass's buffers are valid until the next pass
-starts.  A request outside a pass raises.  Switching the model
+starts.  A request outside a pass raises.  A pass belongs to the thread
+that opened it: a request from another thread raises, and so does
+:meth:`MemoryContext.close` when a recorded buffer's last reference died
+on another thread, since a death's position in the request stream would
+then depend on scheduling (``repro.nn.parallel`` keeps every buffer on
+the caller for this reason).  Switching the model
 between ``train()`` and ``eval()`` closes the pass, so a recording is
 packed as soon as its mode ends.
 
@@ -44,6 +49,7 @@ requests get fresh ``np.empty`` arrays — same arithmetic, same bits.
 from __future__ import annotations
 
 import copy
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -336,6 +342,8 @@ class MemoryContext:
         self._views: list = []
         self._n = 0  # requests served in the current pass
         self._rec = None  # (key, requests, deaths, weakrefs) while recording
+        self._thread = None  # ident of the thread that opened the pass
+        self._strays: list[int] = []  # recorded buffers freed off that thread
 
     def request(self, owner, tag: str, shape, dtype) -> np.ndarray:
         """The next buffer of the pass: a slab view, or a fresh array."""
@@ -343,6 +351,10 @@ class MemoryContext:
             raise RuntimeError(
                 f"buffer request {_owner_name(owner)}.{tag} outside a pass: a pass "
                 "starts when the module the context is bound to runs forward")
+        if threading.get_ident() != self._thread:
+            raise RuntimeError(
+                f"buffer request {_owner_name(owner)}.{tag} from a thread other than "
+                "the one that opened the pass: request buffers before a fork")
         i = self._n
         self._n = i + 1
         self.arena.acquires += 1
@@ -375,6 +387,7 @@ class MemoryContext:
         else:
             self._views = plan.views(self.arena.buffer)
         self._n = 0
+        self._thread = threading.get_ident()
         self._open = True
 
     def _record(self, owner, tag, shape, dtype) -> np.ndarray:
@@ -384,8 +397,10 @@ class MemoryContext:
         requests.append((owner, tag, shape, dtype))
         deaths.append(None)
 
-        def died(_, i=i):
+        def died(_, i=i, thread=self._thread):
             deaths[i] = self._n
+            if threading.get_ident() != thread:
+                self._strays.append(i)
 
         refs.append(weakref.ref(arr, died))
         self.arena.allocated(arr.nbytes)
@@ -395,21 +410,31 @@ class MemoryContext:
         """Close the current pass: a recording is packed into a plan now.
 
         The slab and every plan stay, so the next pass at a known key
-        replays without allocating.
+        replays without allocating.  Raises, keeping no plan, when a
+        recorded buffer's last reference died on a thread other than the
+        one that opened the pass: its lifetime would depend on scheduling.
         """
-        rec = self._rec
-        self._rec = None
-        if rec is not None and rec[1]:  # a pass that requested nothing needs no plan
-            key, requests, deaths, refs = rec
-            refs.clear()  # later frees no longer matter
+        rec, strays = self._rec, self._strays
+        self._rec, self._strays = None, []
+        self._plan = None
+        self._views = []
+        self._open = False
+        if rec is None:
+            return
+        key, requests, deaths, refs = rec
+        refs.clear()  # later frees no longer matter
+        if strays:
+            owner, tag, shape, _ = requests[strays[0]]
+            raise RuntimeError(
+                f"recorded buffer {_owner_name(owner)}.{tag} {tuple(shape)} was freed on a "
+                "thread other than the one that opened the pass: release buffers after "
+                "the join")
+        if requests:  # a pass that requested nothing needs no plan
             n = len(requests)
             plan = MemoryPlan(requests, [n if d is None else d for d in deaths],
                               key[0][0] if key[0] else 0, key[2])
             self.plans[key] = plan
             self.arena.fit(plan)
-        self._plan = None
-        self._views = []
-        self._open = False
 
     @property
     def bytes_allocated(self) -> int:

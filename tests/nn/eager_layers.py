@@ -127,9 +127,11 @@ class EagerConv2D(Conv2D):
         go = grad_out.reshape(n, g, og, span)
         w2 = self.weight.data.reshape(g, og, ckk)
         if n * g * og * ckk * span <= _BATCHED_MATMUL_MAX_MACS:
+            # Contiguous operands, as the layer stages them: at n = 1 the
+            # reshapes are transposed views, which BLAS rounds differently.
             dw = np.matmul(
-                go.transpose(1, 2, 0, 3).reshape(g, og, n * span),
-                cols_g.transpose(1, 0, 3, 2).reshape(g, n * span, ckk),
+                np.ascontiguousarray(go.transpose(1, 2, 0, 3).reshape(g, og, n * span)),
+                np.ascontiguousarray(cols_g.transpose(1, 0, 3, 2).reshape(g, n * span, ckk)),
             )
             dcols = np.matmul(w2.transpose(0, 2, 1)[None], go)
         else:
@@ -215,7 +217,7 @@ class EagerBatchNorm(BatchNorm):
         return y, xhat
 
     def backward(self, grad_out, out=None):
-        xhat, inv_std = self._cache
+        xhat, inv_std, _ = self._cache
         axes = self._reduce_axes(grad_out.ndim)
         nd = grad_out.ndim
         m = float(np.prod([grad_out.shape[a] for a in axes]))
