@@ -468,6 +468,15 @@ def train_sync_sgd(
                             optimizer.step(lr)
                         _gauge("cluster.straggler_wait_s",
                                rank=comm.rank).set(comm.time - sync_start)
+                    # ranks start a core slot at a time, so after its first
+                    # step a rank lets the ranks waiting for one go first:
+                    # otherwise ranks done with the first exchange hold the
+                    # slots for their second step while late ranks still
+                    # need one to finish the first
+                    slots = comm.fabric.slots
+                    if (iteration == cfg.start_epoch * iters_per_epoch
+                            and slots.give(comm.rank)):
+                        slots.take(comm.rank, comm.time)
                     iteration += 1
 
                 # per-epoch metric aggregation: one tiny allreduce

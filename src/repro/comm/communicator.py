@@ -173,7 +173,8 @@ def run_cluster(
     timeout: float = 300.0,
     injector=None,
 ) -> tuple[list, SimulatedFabric]:
-    """Run ``worker(comm)`` on ``size`` simulated ranks (one thread each).
+    """Run ``worker(comm)`` on ``size`` simulated ranks (one thread each,
+    at most one running per usable core: see ``SimulatedFabric.slots``).
 
     Returns (per-rank results in rank order, the fabric — whose ``makespan``
     and ``stats`` carry the simulated time and communication volume).
@@ -194,6 +195,7 @@ def run_cluster(
     errors: list = [None] * size
 
     def target(rank: int) -> None:
+        fabric.slots.take(rank, 0.0)
         try:
             results[rank] = worker(Communicator(fabric, rank))
         except BaseException as exc:  # noqa: BLE001 - propagated below
@@ -201,6 +203,7 @@ def run_cluster(
             if not isinstance(exc, ClusterHalted):
                 fabric.halt(f"rank {rank} raised {type(exc).__name__}: {exc}")
         finally:
+            fabric.slots.give(rank)
             fabric.mark_finished(rank)
 
     threads = [

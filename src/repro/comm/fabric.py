@@ -34,6 +34,10 @@ each one finished when its worker returns or raises.  A fabric driven
 without it has no other running rank, so a receive that cannot be
 satisfied raises at once.
 
+Rank threads share the usable cores through :class:`CoreSlots`; a rank
+hands its slot on only while blocked in a receive, so values, message
+order and clocks never depend on the slots.
+
 An optional :class:`repro.faults.FaultInjector` prices message loss,
 checksum-detected corruption, and delay into arrival times (reliable-link
 retransmit semantics: values exact, time lost).  See
@@ -42,12 +46,15 @@ retransmit semantics: values exact, time lost).  See
 
 from __future__ import annotations
 
+import heapq
+import math
 import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..cores import usable_cores
 from ..obs.metrics import counter as _counter, get_registry as _get_registry
 from .clock import LogicalClock
 from .errors import ClusterHalted, FabricTimeout, PeerDeadError
@@ -143,6 +150,55 @@ def payload_nbytes(payload) -> int:
     return 64
 
 
+#: slots per fabric: one running rank thread per core this process may use
+_CORES = usable_cores()
+
+
+class CoreSlots:
+    """At most ``cores`` ranks hold a slot; the others wait in :meth:`take`.
+    A freed slot goes to the waiting rank with the earliest logical clock,
+    ties to the lower rank.  After :meth:`open` nothing waits."""
+
+    def __init__(self, cores: int):
+        self._free = cores
+        self._held: set[int] = set()
+        self._queue: list = []  # heap of (clock, rank, semaphore to run)
+        self._lock = threading.Lock()
+
+    def take(self, rank: int, clock: float) -> None:
+        """Return once ``rank`` holds a slot, queued at ``clock`` if none is free."""
+        with self._lock:
+            if self._free:
+                self._free -= 1
+                self._held.add(rank)
+                return
+            turn = threading.Semaphore(0)
+            heapq.heappush(self._queue, (clock, rank, turn))
+        turn.acquire()
+
+    def give(self, rank: int) -> bool:
+        """Hand ``rank``'s slot on; False if it held none."""
+        with self._lock:
+            if rank not in self._held:
+                return False
+            self._held.remove(rank)
+            if self._queue:
+                _, nxt, turn = heapq.heappop(self._queue)
+                self._held.add(nxt)
+                turn.release()
+            else:
+                self._free += 1
+            return True
+
+    def open(self) -> None:
+        """Stop gating: every waiting rank runs, and none waits again."""
+        with self._lock:
+            self._free = math.inf
+            for *_, turn in self._queue:
+                turn.release()
+            self._queue.clear()
+
+
 class SimulatedFabric:
     """All-to-all interconnect among ``size`` ranks.
 
@@ -156,7 +212,7 @@ class SimulatedFabric:
     One lock guards the mailboxes, the dead set, the halt flag, the stats
     and the wait table ``{blocked rank: (src, tag)}``.  Each rank sleeps on
     its own condition of that lock, so a delivery wakes only its
-    destination.
+    destination.  ``slots`` (:class:`CoreSlots`) is taken only outside it.
     """
 
     def __init__(self, size: int, profile: NetworkProfile | None = None,
@@ -183,6 +239,7 @@ class SimulatedFabric:
         self._waits: dict[int, tuple[int, int]] = {}
         #: deadlocked rank -> the wait-for graph it raises with
         self._doomed: dict[int, dict[int, tuple[int, int]]] = {}
+        self.slots = CoreSlots(_CORES)
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
@@ -202,18 +259,21 @@ class SimulatedFabric:
     def mark_dead(self, rank: int) -> None:
         """Transport-level crash notification: ``rank`` will never send
         again.  Wakes every blocked ``recv`` so waits on the dead peer fail
-        at once."""
+        at once, and frees its core slot."""
         self._check_rank(rank)
         with self._lock:
             self._dead.add(rank)
+            self.slots.give(rank)
             self._wake_all()
 
     def halt(self, reason: str = "") -> None:
-        """MPI_Abort: wake every blocked ``recv`` with ClusterHalted."""
+        """MPI_Abort: wake every blocked ``recv`` with ClusterHalted and
+        stop gating the core slots."""
         with self._lock:
             self._halted = True
             if reason and not self._halt_reason:
                 self._halt_reason = reason
+            self.slots.open()
             self._wake_all()
 
     def _wake_all(self) -> None:
@@ -372,10 +432,14 @@ class SimulatedFabric:
         :class:`ClusterHalted` if any rank aborted the job, and
         :class:`FabricTimeout` when every running rank is blocked on a
         message none of them can send.
+
+        While blocked, ``dst`` hands its slot on; it takes one again when
+        its message is there, never on the way out by an exception.
         """
         self._check_rank(src)
         self._check_rank(dst)
         box = self._mailboxes[dst]
+        gave = False
         with self._lock:
             while True:
                 graph = self._doomed.pop(dst, None)
@@ -385,14 +449,19 @@ class SimulatedFabric:
                     raise ClusterHalted(dst, self._halt_reason)
                 queue = box.get((src, tag))
                 if queue:
-                    return queue.popleft()
+                    env = queue.popleft()
+                    break
                 if src in self._dead:
                     raise PeerDeadError(dst, src, tag)
                 self._waits[dst] = (src, tag)
                 self._detect_deadlock()
                 if dst not in self._doomed:
+                    gave = self.slots.give(dst) or gave
                     self._wakeups[dst].wait()
                 self._waits.pop(dst, None)
+        if gave:
+            self.slots.take(dst, self.clocks[dst].time)
+        return env
 
     def recv(self, dst: int, src: int, tag: int = 0):
         """Blocking receive; merges the arrival time into dst's clock.

@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import threading
 
+from ..cores import usable_cores
 from ..obs.metrics import counter as _counter
 
 __all__ = ["FORK_MIN_WORK", "both"]
@@ -45,15 +46,7 @@ __all__ = ["FORK_MIN_WORK", "both"]
 FORK_MIN_WORK = 1 << 17
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on (its affinity mask, else the count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-_CORES = _usable_cores()
+_CORES = usable_cores()
 
 
 class _Helper:
