@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["SyntheticConfig", "Dataset", "make_dataset", "gaussian_blobs"]
 
@@ -50,6 +49,10 @@ class SyntheticConfig:
             raise ValueError("dataset sizes must be positive")
         if self.noise < 0:
             raise ValueError("noise must be non-negative")
+        if self.prototype_smoothness < 0:
+            raise ValueError("prototype_smoothness must be non-negative")
+        if self.max_shift < 0:
+            raise ValueError("max_shift must be non-negative")
 
 
 @dataclass
@@ -88,12 +91,45 @@ class Dataset:
         )
 
 
+def _gaussian_blur(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.ndarray:
+    """Separable Gaussian blur of float64 ``x`` along ``axes``, in that order.
+
+    The arithmetic of ``scipy.ndimage.gaussian_filter`` with its defaults
+    (``mode="reflect"``, ``truncate=4.0``), operation for operation, so the
+    result is bitwise the same: a kernel of radius ``int(4σ + 0.5)``
+    normalised by its sum, edges mirrored with the edge sample repeated,
+    and each output the centre tap plus the mirrored tap pairs from the
+    outermost inwards.  A sigma ≤ 1e-15 leaves ``x`` as it is.
+    """
+    if sigma <= 1e-15:
+        return x
+    radius = int(4.0 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    w = w / w.sum()
+    for axis in axes:
+        n = x.shape[axis]
+        # the line extended by `radius` mirrored samples at each end, the
+        # blurred axis first so that every tap below is a contiguous block
+        mirrored = np.arange(-radius, n + radius) % (2 * n)
+        padded = np.moveaxis(x, axis, 0).take(
+            np.where(mirrored < n, mirrored, 2 * n - 1 - mirrored), axis=0
+        )
+        out = padded[radius : radius + n] * w[radius]
+        pair = np.empty_like(out)
+        for j in range(radius, 0, -1):
+            np.add(padded[radius - j : radius - j + n], padded[radius + j : radius + j + n],
+                   out=pair)
+            pair *= w[radius - j]
+            out += pair
+        x = np.moveaxis(out, 0, axis)
+    return x
+
+
 def _prototypes(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
     """Smooth per-class prototype images, mutually decorrelated."""
     raw = rng.normal(size=(cfg.num_classes, cfg.channels, cfg.image_size, cfg.image_size))
-    smooth = ndimage.gaussian_filter(
-        raw, sigma=(0, 0, cfg.prototype_smoothness, cfg.prototype_smoothness)
-    )
+    smooth = _gaussian_blur(raw, cfg.prototype_smoothness, axes=(2, 3))
     # normalise each prototype to unit contrast so `noise` is interpretable
     flat = smooth.reshape(cfg.num_classes, -1)
     flat = (flat - flat.mean(axis=1, keepdims=True)) / (

@@ -1,10 +1,14 @@
 """Synthetic dataset generator tests."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import SGD, Trainer
-from repro.data import SyntheticConfig, gaussian_blobs, make_dataset
+from repro.data import PROXY_CONFIGS, SyntheticConfig, gaussian_blobs, make_dataset
+from repro.data.synthetic import _gaussian_blur
 from repro.nn.models import mlp
 
 
@@ -87,6 +91,18 @@ def test_config_validation():
         SyntheticConfig(noise=-1)
 
 
+def test_negative_prototype_smoothness_rejected():
+    with pytest.raises(ValueError, match="prototype_smoothness"):
+        SyntheticConfig(prototype_smoothness=-0.5)
+    make_dataset(small_cfg(prototype_smoothness=0.0))
+
+
+def test_negative_max_shift_rejected():
+    with pytest.raises(ValueError, match="max_shift"):
+        SyntheticConfig(max_shift=-1)
+    make_dataset(small_cfg(max_shift=0))
+
+
 def test_cfg_and_kwargs_mutually_exclusive():
     with pytest.raises(TypeError):
         make_dataset(small_cfg(), num_classes=3)
@@ -95,6 +111,51 @@ def test_cfg_and_kwargs_mutually_exclusive():
 def test_kwargs_form():
     ds = make_dataset(num_classes=3, image_size=8, train_size=64, test_size=16)
     assert ds.num_classes == 3
+
+
+#: sha256 over x_train, y_train, x_test, y_test of each proxy dataset at its
+#: own seed and at seed 0, as generated with ``scipy.ndimage.gaussian_filter``
+#: blurring the prototypes; any change to the generator's arithmetic shows here
+PROXY_SHA256 = {
+    ("tiny", 42): "b610575759aac9e75764adf7fb96f8bf3af8a6fa12f4d442c1a0de61f4471968",
+    ("tiny", 0): "c2927c170ad55ee55e3c10add4a8bc88d6d4738b6dface45ac1ae6001317938d",
+    ("small", 42): "ba2defaacfa664af9b817be3551e5644c7225e41a392b99c8bcb07f406eda6e0",
+    ("small", 0): "06f19252811819578fa8ea898f83c1fca86552c639571a65bf23ccbe071b5197",
+    ("medium", 42): "e7be414699e161955b3020532fbffa43a1d52267d708ab086ea5f816fe253f3f",
+    ("medium", 0): "55c8328bac93a8050458219f87412094a2fb8102f5a1aff8cbb907ffeda20a47",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PROXY_SHA256))
+def test_proxy_dataset_bytes_pinned(name, seed):
+    ds = make_dataset(replace(PROXY_CONFIGS[name], seed=seed))
+    h = hashlib.sha256()
+    for a in (ds.x_train, ds.y_train, ds.x_test, ds.y_test):
+        h.update(a.tobytes())
+    assert h.hexdigest() == PROXY_SHA256[name, seed]
+
+
+def test_gaussian_blur_equals_scipy_bitwise():
+    """The blur is ``scipy.ndimage.gaussian_filter`` bit for bit, including
+    lines shorter than the kernel radius (repeated mirroring) and sigma 0."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(0)
+    sigmas = [0.0, 1e-16, 0.1, 0.5, 1.5, 2.0] + list(rng.uniform(0.05, 3.5, size=10))
+    for case in range(400):
+        ndim = int(rng.integers(1, 5))
+        shape = tuple(int(v) for v in rng.integers(1, 20, size=ndim))
+        if case % 5 == 0:  # lines shorter than the kernel radius from sigma 1.4
+            shape = tuple(min(v, 5) for v in shape)
+        sigma = float(sigmas[case % len(sigmas)])
+        axes = tuple(sorted(rng.choice(ndim, size=int(rng.integers(1, ndim + 1)),
+                                       replace=False).tolist()))
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        want = ndimage.gaussian_filter(
+            x, sigma=[sigma if a in axes else 0.0 for a in range(ndim)]
+        )
+        got = _gaussian_blur(x, sigma, axes)
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes(), (shape, sigma, axes)
 
 
 class TestGaussianBlobs:
