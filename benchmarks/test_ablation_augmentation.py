@@ -8,7 +8,7 @@ generalisation is actually at stake: none < weak, with heavy ≈ weak.
 
 import numpy as np
 
-from repro.core import SGD
+from repro.core import SGD, backprop
 from repro.core.metrics import top1_accuracy
 from repro.data import BatchLoader, make_dataset
 from repro.experiments.report import format_table
@@ -33,11 +33,7 @@ def train_with_aug(aug: str, epochs: int = 20, seed: int = 2) -> float:
     with np.errstate(all="ignore"):
         for batches in loader.epochs(epochs):
             for xb, yb in batches:
-                model.train()
-                opt.zero_grad()
-                logits = model.forward(xb)
-                loss_fn.forward(logits, yb)
-                model.backward(loss_fn.backward())
+                backprop(model, loss_fn, opt.params, xb, yb, [slice(None)], len(yb))
                 opt.step(0.05)
             model.eval()
             preds = np.concatenate([

@@ -10,16 +10,11 @@ wire bytes and final accuracy.
 from repro.cluster import (
     NoCompression,
     OneBitCompressor,
+    SyncSGDConfig,
     TopKCompressor,
-    compressed_allreduce,
-    epoch_permutation,
-    shard_batch,
-    unflatten_grads,
-    flatten_grads,
+    train_sync_sgd,
 )
-from repro.comm import run_cluster
-from repro.core import SGD, ConstantLR
-from repro.core.metrics import top1_accuracy
+from repro.core import SGD
 from repro.data import gaussian_blobs
 from repro.experiments.report import format_table
 from repro.nn.models import mlp
@@ -31,41 +26,16 @@ _X, _Y = gaussian_blobs(256, num_classes=3, dim=10, seed=31)
 
 
 def train_with(compressor_factory):
-    """Sync data-parallel SGD with a compressed gradient exchange."""
-
-    def worker(comm):
-        model = mlp(10, [16], 3, seed=6)
-        opt = SGD(model.parameters(), momentum=0.9, weight_decay=0.0)
-        compressor = compressor_factory()
-        sched = ConstantLR(LR)
-        n = len(_X)
-        it = 0
-        for epoch in range(EPOCHS):
-            order = epoch_permutation(n, epoch, 3)
-            for lo in range(0, n, BATCH):
-                gidx = order[lo : lo + BATCH]
-                lidx = shard_batch(gidx, WORLD, comm.rank)
-                model.train()
-                opt.zero_grad()
-                from repro.nn.losses import SoftmaxCrossEntropy
-
-                loss = SoftmaxCrossEntropy()
-                logits = model.forward(_X[lidx])
-                loss.forward(logits, _Y[lidx])
-                model.backward(loss.backward())
-                params = model.parameters()
-                flat = flatten_grads(params) * (len(lidx) / len(gidx))
-                total = compressed_allreduce(comm, flat, compressor)
-                unflatten_grads(total, params)
-                opt.step(sched(it))
-                it += 1
-        if comm.rank == 0:
-            model.eval()
-            return top1_accuracy(model.forward(_X), _Y)
-        return None
-
-    results, fabric = run_cluster(WORLD, worker)
-    return results[0], fabric.stats.bytes
+    """The library's sync data-parallel SGD with a compressed gradient
+    exchange; accuracy is measured on the training set."""
+    result = train_sync_sgd(
+        lambda: mlp(10, [16], 3, seed=6),
+        lambda params: SGD(params, momentum=0.9, weight_decay=0.0),
+        LR, _X, _Y, _X, _Y,
+        SyncSGDConfig(world=WORLD, epochs=EPOCHS, batch_size=BATCH, shuffle_seed=3,
+                      compressor_factory=compressor_factory),
+    )
+    return result.final_test_accuracy, result.comm_bytes
 
 
 def sweep():

@@ -12,7 +12,7 @@ Run:  python examples/lars_trust_ratios.py
 
 import numpy as np
 
-from repro.core import LARS, iterations_per_epoch, paper_schedule
+from repro.core import LARS, backprop, iterations_per_epoch, paper_schedule
 from repro.data import make_dataset
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import micro_alexnet
@@ -39,11 +39,7 @@ def main() -> None:
         order = rng.permutation(ds.n_train)
         for lo in range(0, ds.n_train, BATCH):
             idx = order[lo : lo + BATCH]
-            model.train()
-            opt.zero_grad()
-            logits = model.forward(ds.x_train[idx])
-            loss_fn.forward(logits, ds.y_train[idx])
-            model.backward(loss_fn.backward())
+            backprop(model, loss_fn, opt.params, ds.x_train, ds.y_train, [idx], len(idx))
             ratios = opt.trust_ratios()
             for name, r in ratios.items():
                 history.setdefault(name, []).append(r)

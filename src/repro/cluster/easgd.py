@@ -27,6 +27,7 @@ from ..comm import Communicator, NetworkProfile, run_cluster
 from ..core.metrics import evaluate
 from ..core.optimizer import Optimizer
 from ..core.schedules import ConstantLR, Schedule
+from ..core.step import backprop
 from ..nn.layers.base import Module
 from ..nn.losses import SoftmaxCrossEntropy
 from .packing import flatten_params, unflatten_params
@@ -127,11 +128,7 @@ def train_easgd(
                 idx = my_stream[lo : lo + config.batch_size]
                 if len(idx) == 0:
                     continue
-                model.train()
-                optimizer.zero_grad()
-                logits = model.forward(x_train[idx])
-                loss_fn.forward(logits, y_train[idx])
-                model.backward(loss_fn.backward())
+                backprop(model, loss_fn, params, x_train, y_train, [idx], len(idx))
                 optimizer.step(sched(iteration))
                 iteration += 1
                 if iteration % config.tau == 0:

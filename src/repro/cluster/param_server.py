@@ -35,6 +35,7 @@ from ..comm.fabric import NetworkProfile
 from ..core.metrics import evaluate
 from ..core.optimizer import Optimizer
 from ..core.schedules import ConstantLR, Schedule
+from ..core.step import backprop
 from ..nn.layers.base import Module
 from ..nn.losses import SoftmaxCrossEntropy
 from .packing import flatten_grads, flatten_params, unflatten_grads, unflatten_params
@@ -103,6 +104,7 @@ def train_param_server(
     server_model = model_builder()
     optimizer = optimizer_builder(server_model.parameters())
     shadow = model_builder()  # reusable replica for stale-gradient evaluation
+    shadow_params = shadow.parameters()
     loss_fn = SoftmaxCrossEntropy()
     params = server_model.parameters()
     model_bytes = int(sum(p.size for p in params)) * 8
@@ -117,14 +119,10 @@ def train_param_server(
     def gradient_on(weights_flat: np.ndarray, worker: int) -> np.ndarray:
         """Gradient of the mean loss on the worker's next batch at the given
         (possibly stale) weights."""
-        unflatten_params(weights_flat, shadow.parameters())
+        unflatten_params(weights_flat, shadow_params)
         idx = batch_rngs[worker].integers(0, n, size=config.batch_size)
-        shadow.train()
-        shadow.zero_grad()
-        logits = shadow.forward(x_train[idx])
-        loss_fn.forward(logits, y_train[idx])
-        shadow.backward(loss_fn.backward())
-        return flatten_grads(shadow.parameters())
+        backprop(shadow, loss_fn, shadow_params, x_train, y_train, [idx], len(idx))
+        return flatten_grads(shadow_params)
 
     def compute_duration() -> float:
         j = config.compute_jitter

@@ -7,15 +7,15 @@ back — Figure 2(a)), and every replica applies the *same* update.
 
 Sequential consistency — the property the paper leans on ("all valid
 parallel implementations of the algorithm match the behavior of the
-sequential version") — holds by construction: every rank scales its loss
-gradient by |shard|/|global batch| before backward (the rule the serial
-trainer's micro-batches and SyncBatchNorm use), so the exchange's plain sum
-is the same global-batch mean the serial trainer computes, every rank sees
-a bit-identical copy, and the optimiser arithmetic is identical.  Tests verify
-P-worker runs match the serial large-batch run to fp tolerance.  The one
-deliberate exception is BatchNorm, whose statistics are per-shard (exactly
-as in the paper's Caffe/MLSL stacks); models without BN match the serial run
-to ~1e-10, models with BN agree only statistically.
+sequential version") — holds by construction: each rank runs the serial
+trainer's step, :func:`repro.core.step.backprop`, on its shard, scaling the
+loss gradient by |shard|/|global batch|, so the exchange's plain sum is the
+global-batch mean the serial trainer computes, and every rank applies the
+same update to bit-identical copies.  A world-1 run is the serial run bit
+for bit; P ranks match it to fp tolerance.  The one deliberate exception is
+BatchNorm, whose statistics are per-shard (as in the paper's Caffe/MLSL
+stacks): models without BN match the serial run to ~1e-10, models with BN
+agree only statistically.
 
 Simulated time: ranks advance their logical clocks by a caller-supplied
 ``compute_time(n_local_examples)`` before communicating, and the fabric
@@ -58,9 +58,10 @@ from ..comm import (
     RetransmitExhausted,
     run_cluster,
 )
-from ..core.metrics import EpochRecord, evaluate, top1_accuracy
+from ..core.metrics import EpochRecord, TrainResult, evaluate
 from ..core.optimizer import Optimizer
 from ..core.schedules import ConstantLR, Schedule
+from ..core.step import backprop, iterations_per_epoch
 from ..faults import (
     FaultInjector,
     FaultPlan,
@@ -262,10 +263,9 @@ class SyncSGDConfig:
 
 
 @dataclass
-class ClusterResult:
+class ClusterResult(TrainResult):
     """Outcome of a simulated cluster training run."""
 
-    history: list[EpochRecord] = field(default_factory=list)
     simulated_seconds: float = 0.0
     messages: int = 0
     comm_bytes: int = 0
@@ -296,14 +296,6 @@ class ClusterResult:
         if self.comm_busy_seconds <= 0.0:
             return 0.0
         return 1.0 - self.exposed_comm_seconds / self.comm_busy_seconds
-
-    @property
-    def final_test_accuracy(self) -> float:
-        return self.history[-1].test_accuracy if self.history else 0.0
-
-    @property
-    def peak_test_accuracy(self) -> float:
-        return max((r.test_accuracy for r in self.history), default=0.0)
 
     def time_to_accuracy(self, target: float) -> float | None:
         """Simulated seconds until test accuracy first reaches ``target``."""
@@ -364,7 +356,7 @@ def train_sync_sgd(
     """
     sched = ConstantLR(schedule) if isinstance(schedule, (int, float)) else schedule
     n = len(x_train)
-    iters_per_epoch = -(-n // config.batch_size)
+    iters_per_epoch = iterations_per_epoch(n, config.batch_size)
     fault_tolerant = config.fault_plan is not None
 
     def make_worker(cfg: SyncSGDConfig, injector: FaultInjector | None,
@@ -410,9 +402,7 @@ def train_sync_sgd(
 
             for epoch in range(cfg.start_epoch, cfg.epochs):
                 order = epoch_permutation(n, epoch, cfg.shuffle_seed)
-                loss_sum = 0.0
-                correct_sum = 0.0
-                seen = 0
+                sums = np.zeros(3)  # Σ loss·n, Σ correct, Σ n on this rank
                 for lo in range(0, n, cfg.batch_size):
                     if injector is not None and injector.should_kill(
                         comm.rank, iteration
@@ -431,32 +421,20 @@ def train_sync_sgd(
                         )
                         with _timed("cluster.compute", rank=comm.rank,
                                     examples=len(local_idx)):
-                            model.train()
-                            optimizer.zero_grad()
                             if cfg.overlap:
                                 # charges forward time now; backward time is
                                 # charged per bucket as the hooks launch
                                 exchange.begin_step(step_seconds)
-                            if len(local_idx) > 0 or sync_bn:
-                                xb, yb = x_train[local_idx], y_train[local_idx]
-                                logits = model.forward(xb)
-                                batch_loss = loss_fn.forward(logits, yb)
-                                # the loss gradient is a mean over the shard;
-                                # scaling it by |shard|/|global batch| makes
-                                # the exchange's sum over ranks the exact
-                                # global-batch mean, even for uneven shards
-                                grad = loss_fn.backward()
-                                grad *= len(local_idx) / len(global_idx)
-                                model.backward(grad)
-                                if len(local_idx) > 0:
-                                    loss_sum += batch_loss * len(local_idx)
-                                    correct_sum += (
-                                        top1_accuracy(logits, yb) * len(local_idx)
-                                    )
-                                    seen += len(local_idx)
-                                    if (not cfg.overlap
-                                            and cfg.compute_time is not None):
-                                        comm.compute(step_seconds)
+                            # an empty shard still joins SyncBatchNorm's
+                            # collectives; without them it only zeroes
+                            step_loss, step_correct = backprop(
+                                model, loss_fn, optimizer.params, x_train, y_train,
+                                [local_idx] if len(local_idx) or sync_bn else [],
+                                len(global_idx))
+                            sums += (step_loss, step_correct, len(local_idx))
+                            if (len(local_idx) and not cfg.overlap
+                                    and cfg.compute_time is not None):
+                                comm.compute(step_seconds)
 
                         # Simulated seconds this rank spends in the gradient
                         # exchange: its own send cost plus any wait for
@@ -480,9 +458,7 @@ def train_sync_sgd(
                     iteration += 1
 
                 # per-epoch metric aggregation: one tiny allreduce
-                stats = comm.allreduce(
-                    np.array([loss_sum, correct_sum, float(seen)])
-                )
+                stats = comm.allreduce(sums)
                 if comm.rank == 0:
                     test_acc = float("nan")
                     if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:

@@ -1,8 +1,9 @@
 """``repro.core`` — the paper's contribution: LARS large-batch training.
 
 Exports the optimisers (LARS, momentum SGD), the schedule algebra (linear
-scaling rule, gradual warmup, poly decay), the serial reference trainer, and
-the paper's hyper-parameter recipes encoded as data.
+scaling rule, gradual warmup, poly decay), the serial reference trainer,
+``backprop`` (the one forward/loss/backward every trainer runs) and the
+paper's hyper-parameter recipes encoded as data.
 """
 
 from .adam import Adam
@@ -31,6 +32,7 @@ from .schedules import (
     sqrt_scaled_lr,
 )
 from .sgd import SGD
+from .step import backprop
 from .trainer import TrainResult, Trainer, iterations_per_epoch
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "Trainer",
     "TrainResult",
     "iterations_per_epoch",
+    "backprop",
     "Recipe",
     "PAPER_RECIPES",
     "build_optimizer",

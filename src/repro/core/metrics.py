@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-__all__ = ["top_k_accuracy", "top1_accuracy", "evaluate", "RunningMean", "EpochRecord"]
+__all__ = ["top_k_accuracy", "top1_accuracy", "evaluate", "RunningMean", "EpochRecord",
+           "TrainResult"]
 
 
 def top_k_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 1) -> float:
@@ -88,3 +89,33 @@ class EpochRecord:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class TrainResult:
+    """Full training history plus summary statistics."""
+
+    history: list[EpochRecord] = field(default_factory=list)
+
+    @property
+    def final_test_accuracy(self) -> float:
+        return self.history[-1].test_accuracy if self.history else 0.0
+
+    @property
+    def peak_test_accuracy(self) -> float:
+        """The paper reports *peak* top-1 accuracy (Tables 8/9)."""
+        return max((r.test_accuracy for r in self.history), default=0.0)
+
+    @property
+    def total_iterations(self) -> int:
+        return sum(r.iterations for r in self.history)
+
+    def accuracy_curve(self) -> list[tuple[int, float]]:
+        return [(r.epoch, r.test_accuracy) for r in self.history]
+
+    def epochs_to_accuracy(self, target: float) -> int | None:
+        """First epoch whose test accuracy reaches ``target`` (Figure 7)."""
+        for r in self.history:
+            if r.test_accuracy >= target:
+                return r.epoch
+        return None

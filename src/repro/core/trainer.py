@@ -8,7 +8,6 @@ Figures 1/4/5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -19,49 +18,12 @@ from ..nn.losses import SoftmaxCrossEntropy
 from ..nn.memory import MemoryContext
 from ..obs import timed as _timed
 from ..obs.events import publish as _publish
-from .metrics import EpochRecord, RunningMean, evaluate, top1_accuracy
+from .metrics import EpochRecord, RunningMean, TrainResult, evaluate
 from .optimizer import Optimizer
 from .schedules import ConstantLR, Schedule
+from .step import backprop, iterations_per_epoch
 
 __all__ = ["Trainer", "TrainResult", "iterations_per_epoch"]
-
-
-def iterations_per_epoch(n_examples: int, batch_size: int) -> int:
-    """ceil(n/B): every example is touched once per epoch (paper's definition
-    of an epoch; the final short batch is kept, not dropped)."""
-    if n_examples <= 0 or batch_size <= 0:
-        raise ValueError("n_examples and batch_size must be positive")
-    return -(-n_examples // batch_size)
-
-
-@dataclass
-class TrainResult:
-    """Full training history plus summary statistics."""
-
-    history: list[EpochRecord] = field(default_factory=list)
-
-    @property
-    def final_test_accuracy(self) -> float:
-        return self.history[-1].test_accuracy if self.history else 0.0
-
-    @property
-    def peak_test_accuracy(self) -> float:
-        """The paper reports *peak* top-1 accuracy (Tables 8/9)."""
-        return max((r.test_accuracy for r in self.history), default=0.0)
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(r.iterations for r in self.history)
-
-    def accuracy_curve(self) -> list[tuple[int, float]]:
-        return [(r.epoch, r.test_accuracy) for r in self.history]
-
-    def epochs_to_accuracy(self, target: float) -> int | None:
-        """First epoch whose test accuracy reaches ``target`` (Figure 7)."""
-        for r in self.history:
-            if r.test_accuracy >= target:
-                return r.epoch
-        return None
 
 
 class Trainer:
@@ -130,28 +92,16 @@ class Trainer:
         Returns (mean loss, top-1 train accuracy on the batch).
         """
         n = len(x)
+        if n == 0:
+            raise ValueError(f"iteration {self.iteration}: empty batch")
         chunk = n if micro_batch_size is None else int(micro_batch_size)
         if chunk <= 0:
             raise ValueError("micro_batch_size must be positive")
         with _timed("trainer.train_step", iteration=self.iteration, batch=n):
-            self.model.train()
-            self.optimizer.zero_grad()
-            loss_sum = 0.0
-            correct = 0.0
-            for lo in range(0, n, chunk):
-                xb, yb = x[lo : lo + chunk], y[lo : lo + chunk]
-                logits = self.model.forward(xb)
-                loss_val = self.loss.forward(logits, yb)
-                # scale the loss gradient in place; x * 1.0 == x bitwise, so
-                # skipping the full-batch case changes no bit
-                grad = self.loss.backward()
-                if len(xb) != n:
-                    grad *= len(xb) / n
-                self.model.backward(grad)
-                loss_sum += loss_val * len(xb)
-                correct += top1_accuracy(logits, yb) * len(xb)
-            lr = self.schedule(self.iteration)
-            self.optimizer.step(lr)
+            loss_sum, correct = backprop(
+                self.model, self.loss, self.optimizer.params, x, y,
+                [slice(lo, lo + chunk) for lo in range(0, n, chunk)], n)
+            self.optimizer.step(self.schedule(self.iteration))
             self.iteration += 1
         return loss_sum / n, correct / n
 
@@ -215,7 +165,11 @@ class Trainer:
         n = len(x_train)
         result = TrainResult()
         for epoch in range(epochs):
-            batch_size = min(int(batch_schedule(epoch)), n)
+            batch_size = int(batch_schedule(epoch))
+            if batch_size <= 0:
+                raise ValueError(f"epoch {epoch + 1}: batch size must be positive "
+                                 f"(got {batch_size})")
+            batch_size = min(batch_size, n)
             with _timed("trainer.epoch", epoch=epoch + 1, batch_size=batch_size):
                 order = epoch_permutation(n, epoch, self.shuffle_seed)
                 loss_avg, acc_avg = RunningMean(), RunningMean()

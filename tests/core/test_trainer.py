@@ -236,3 +236,40 @@ def test_arena_stats_none_when_eager():
     assert make_trainer().arena_stats() is None
     stats = make_static_trainer().arena_stats()
     assert stats == {k: 0 for k in stats}  # untouched arena, all counters zero
+
+
+def test_fit_zero_batch_size_raises_naming_epoch_and_size():
+    x, y = toy_problem()
+    trainer = make_trainer()
+    with pytest.raises(ValueError, match=r"epoch 1: batch size must be positive \(got 0\)"):
+        trainer.fit(x, y, x, y, epochs=2, batch_size=0)
+    assert trainer.iteration == 0
+
+
+def test_fit_negative_batch_size_raises_before_any_step():
+    x, y = toy_problem()
+    trainer = make_trainer()
+    with pytest.raises(ValueError, match=r"epoch 1: batch size must be positive \(got -4\)"):
+        trainer.fit(x, y, x, y, epochs=1, batch_size=-4)
+    assert trainer.iteration == 0
+
+
+def test_batch_schedule_returning_zero_raises_at_that_epoch():
+    x, y = toy_problem()
+    trainer = make_trainer()
+    seen = []
+    with pytest.raises(ValueError, match=r"epoch 2: batch size must be positive \(got 0\)"):
+        trainer.fit_with_batch_schedule(x, y, x, y, epochs=3,
+                                        batch_schedule=[40, 0, 40].__getitem__,
+                                        callback=seen.append)
+    assert [r.epoch for r in seen] == [1]
+    assert trainer.iteration == 3
+
+
+def test_train_step_on_empty_batch_names_the_batch():
+    x, y = toy_problem()
+    trainer = make_trainer()
+    with pytest.raises(ValueError, match="empty batch") as err:
+        trainer.train_step(x[:0], y[:0])
+    assert "micro_batch_size" not in str(err.value)
+    assert trainer.iteration == 0

@@ -25,7 +25,7 @@ _X, _Y = gaussian_blobs(64, num_classes=3, dim=5, seed=101)
 class TestSequentialConsistencyProperty:
     """The headline invariant, fuzzed: any world size and batch size."""
 
-    @given(world=st.integers(1, 5), batch=st.integers(5, 64),
+    @given(world=st.integers(1, 16), batch=st.integers(5, 64),
            momentum=st.sampled_from([0.0, 0.9]))
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -49,6 +49,37 @@ class TestSequentialConsistencyProperty:
             ref = model.state_dict()
             for k in ref:
                 assert np.allclose(cluster.final_state[k], ref[k], atol=1e-9)
+
+    @given(data=st.data(), world=st.integers(1, 16))
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_micro_batches_shards_and_full_batch_agree(self, data, world):
+        """One step rule, three partitions of each batch: the serial
+        trainer's micro-batches, the cluster's rank shards, and none."""
+        batch = data.draw(st.integers(world, 64), label="batch")
+        micro = data.draw(st.integers(1, batch), label="micro_batch_size")
+
+        def builder():
+            return mlp(5, [6], 3, seed=17)
+
+        def opt_builder(params):
+            return SGD(params, momentum=0.9, weight_decay=0.0005)
+
+        def serial(micro_batch_size):
+            model = builder()
+            Trainer(model, opt_builder(model.parameters()), ConstantLR(0.05),
+                    shuffle_seed=17).fit(_X, _Y, _X[:16], _Y[:16], epochs=1,
+                                         batch_size=batch,
+                                         micro_batch_size=micro_batch_size)
+            return model.state_dict()
+
+        full = serial(None)
+        config = SyncSGDConfig(world=world, epochs=1, batch_size=batch, shuffle_seed=17)
+        for state in (serial(micro),
+                      train_sync_sgd(builder, opt_builder, ConstantLR(0.05), _X, _Y,
+                                     _X[:16], _Y[:16], config).final_state):
+            for k in full:
+                assert np.abs(state[k] - full[k]).max() <= 1e-9, k
 
 
 def _check_bucketed_matches_one_bucket(world, hidden, bucket_bytes, algorithm,
