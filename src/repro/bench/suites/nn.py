@@ -7,7 +7,8 @@ stride 1 and at an even stride-2 downsample), the 1×1 im2col-free route,
 the AlexNet-LRN proxy's window layers (LRN, max pooling), and the
 end-to-end proxy train steps whose wall-clock the paper's E·n/B
 iteration count multiplies (at the CI batch, and at the serial end-to-end
-workload's batch 96, where the helper thread forks).
+workload's batch 96, where the helper thread forks when BLAS is pinned to
+one thread).
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ def _resnet_step():
 
 # The end-to-end serial workload's step (batch 96, 12×12, static memory):
 # the shape at which the convolutions and BatchNorm fork onto the helper
-# thread (``repro.nn.parallel``) when a second core is free.
+# thread (``repro.nn.parallel``) when a second core is free and BLAS is
+# pinned to one thread.
 @register(
     "train_step.resnet_proxy.serial96",
     area="nn",

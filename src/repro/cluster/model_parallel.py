@@ -51,13 +51,6 @@ def partition_bounds(total: int, world: int, rank: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _block_of(full: np.ndarray, axis: int, world: int, rank: int) -> np.ndarray:
-    lo, hi = partition_bounds(full.shape[axis], world, rank)
-    index = [slice(None)] * full.ndim
-    index[axis] = slice(lo, hi)
-    return full[tuple(index)]
-
-
 class ColumnParallelDense(Module):
     """Dense layer with output features partitioned across ranks.
 

@@ -16,6 +16,7 @@ from .collectives import (
     barrier_dissemination,
     bcast_cost,
     bcast_tree,
+    hierarchical_cost,
     reduce_cost,
     reduce_tree,
 )
@@ -28,7 +29,6 @@ from .errors import (
     RetransmitExhausted,
 )
 from .fabric import Envelope, FabricStats, NetworkProfile, SimulatedFabric
-from .hierarchical import allreduce_hierarchical, hierarchical_cost, node_groups
 from .nonblocking import AllreduceRequest, RecvRequest, Request, SendRequest
 from .reliable import RetransmitPolicy
 
@@ -58,10 +58,8 @@ __all__ = [
     "bcast_tree",
     "reduce_tree",
     "barrier_dissemination",
-    "allreduce_hierarchical",
-    "hierarchical_cost",
-    "node_groups",
     "allreduce_cost",
+    "hierarchical_cost",
     "allreduce_message_count",
     "bcast_cost",
     "reduce_cost",

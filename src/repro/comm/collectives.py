@@ -73,6 +73,7 @@ __all__ = [
     "barrier_dissemination",
     "ALLREDUCE_ALGORITHMS",
     "allreduce_cost",
+    "hierarchical_cost",
     "allreduce_message_count",
     "bcast_cost",
     "reduce_cost",
@@ -341,6 +342,29 @@ def allreduce_cost(
         lg = _log2ceil(p)
         return 2 * lg * profile.alpha + 2 * nbytes * (1 - 1 / p) * profile.beta
     raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
+
+
+def hierarchical_cost(
+    p: int,
+    nbytes: int,
+    node_size: int,
+    intra: NetworkProfile,
+    inter: NetworkProfile,
+    inter_algorithm: str = "ring",
+) -> float:
+    """Critical path of a two-level allreduce on asymmetric links.
+
+    An intra-node binomial reduce to each node's leader on the fast
+    ``intra`` fabric, an allreduce among the ⌈P/node_size⌉ leaders on the
+    slow ``inter`` fabric, and an intra-node broadcast — the scheme
+    multi-node clusters such as the paper's Stampede-2 use.  Analytic only:
+    the ablation bench sets it against the flat algorithms.
+    """
+    if p <= 1:
+        return 0.0
+    intra_cost = 2 * _log2ceil(min(node_size, p)) * intra.transfer_time(nbytes)
+    nodes = math.ceil(p / node_size)
+    return intra_cost + allreduce_cost(nodes, nbytes, inter, inter_algorithm)
 
 
 def allreduce_message_count(p: int, algorithm: str = "tree") -> int:

@@ -121,17 +121,6 @@ class Communicator:
             self, array, algorithm, tag=self._next_tag(), copy=copy
         )
 
-    def allreduce_hierarchical(
-        self, array: np.ndarray, node_size: int, inter_algorithm: str = "ring"
-    ) -> np.ndarray:
-        """Two-level allreduce (intra-node reduce → leader allreduce →
-        intra-node broadcast); see :mod:`repro.comm.hierarchical`."""
-        from .hierarchical import allreduce_hierarchical
-
-        return allreduce_hierarchical(
-            self, array, node_size, inter_algorithm, tag=self._next_tag()
-        )
-
     def allgather(self, array: np.ndarray) -> list[np.ndarray]:
         """Every rank receives [contribution of rank 0, …, rank P−1]."""
         return coll.allgather_ring(self, array, tag=self._next_tag())

@@ -11,7 +11,6 @@ from .batch_schedule import BatchSizeSchedule, ConstantBatch, SteppedBatchGrowth
 from .lamb import LAMB
 from .lars import LARS, trust_ratio
 from .metrics import EpochRecord, RunningMean, top1_accuracy, top_k_accuracy
-from .mixed_precision import MixedPrecisionOptimizer, fp16_roundtrip
 from .optimizer import Optimizer
 from .recipes import (
     IMAGENET_TRAIN_SIZE,
@@ -41,8 +40,6 @@ __all__ = [
     "Adam",
     "SGD",
     "Optimizer",
-    "MixedPrecisionOptimizer",
-    "fp16_roundtrip",
     "trust_ratio",
     "Schedule",
     "ConstantLR",

@@ -27,9 +27,9 @@ __all__ = ["LAMB"]
 class LAMB(Adam):
     """Layer-wise adaptive moments for batch training.
 
-    Parameters follow :class:`Adam`; ``exclude_from_adaptation`` mirrors
-    :class:`repro.core.lars.LARS` (biases and BN parameters take the plain
-    Adam step).
+    Parameters follow :class:`Adam`.  As in :class:`repro.core.lars.LARS`,
+    a parameter with ``weight_decay == 0`` (a bias or a BN parameter) takes
+    the plain Adam step.
     """
 
     def __init__(
@@ -39,23 +39,17 @@ class LAMB(Adam):
         beta2: float = 0.999,
         eps: float = 1e-6,
         weight_decay: float = 0.0,
-        exclude_from_adaptation=None,
         clip_ratio: float = 10.0,
     ):
         super().__init__(params, beta1=beta1, beta2=beta2, eps=eps,
                          weight_decay=weight_decay, decoupled=True)
-        self.exclude = (
-            exclude_from_adaptation
-            if exclude_from_adaptation is not None
-            else (lambda p: p.weight_decay == 0.0)
-        )
         if clip_ratio <= 0:
             raise ValueError("clip_ratio must be positive")
         self.clip_ratio = float(clip_ratio)
 
     def apply_update(self, p: Parameter, state: dict, lr: float) -> None:
         direction = self._adam_direction(p, state)
-        if self.exclude(p):
+        if p.weight_decay == 0.0:
             p.data -= lr * direction
             return
         w_norm = float(np.linalg.norm(p.data))

@@ -60,13 +60,9 @@ class LARS(Optimizer):
         works with ~0.01–0.02.  Exposed per recipe.
     momentum, weight_decay:
         As in :class:`repro.core.sgd.SGD` (paper: 0.9 / 0.0005).
-    exclude_from_adaptation:
-        Predicate deciding which parameters skip trust-ratio scaling.  The
-        default excludes any parameter with ``weight_decay == 0`` — biases
-        and BatchNorm γ/β in this code base.
-    clip_trust:
-        Optional upper bound on the local LR multiplier (an extension knob
-        used by some later implementations; ``None`` reproduces the paper).
+
+    A parameter with ``weight_decay == 0`` — a bias or a BatchNorm γ/β in
+    this code base — skips the trust ratio (module docstring).
     """
 
     def __init__(
@@ -75,8 +71,6 @@ class LARS(Optimizer):
         trust_coefficient: float = 0.001,
         momentum: float = 0.9,
         weight_decay: float = 0.0005,
-        exclude_from_adaptation=None,
-        clip_trust: float | None = None,
     ):
         super().__init__(params)
         if trust_coefficient <= 0:
@@ -88,25 +82,16 @@ class LARS(Optimizer):
         self.trust_coefficient = float(trust_coefficient)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.exclude = (
-            exclude_from_adaptation
-            if exclude_from_adaptation is not None
-            else (lambda p: p.weight_decay == 0.0)
-        )
-        self.clip_trust = clip_trust
 
     def local_lr(self, p: Parameter) -> float:
         """Trust-ratio multiplier for parameter ``p`` at its current state."""
-        if self.exclude(p):
+        if p.weight_decay == 0.0:
             return 1.0
         wd = self.weight_decay * p.weight_decay
         ratio = trust_ratio(
             float(np.linalg.norm(p.data)), float(np.linalg.norm(p.grad)), wd
         )
-        scaled = self.trust_coefficient * ratio
-        if self.clip_trust is not None:
-            scaled = min(scaled, self.clip_trust)
-        return scaled
+        return self.trust_coefficient * ratio
 
     def trust_ratios(self) -> dict[str, float]:
         """Per-parameter local-LR multipliers at the current gradients.
@@ -118,7 +103,7 @@ class LARS(Optimizer):
         """
         return {
             p.name or f"param{i}": self.local_lr(p) / (
-                self.trust_coefficient if not self.exclude(p) else 1.0
+                self.trust_coefficient if p.weight_decay != 0.0 else 1.0
             )
             for i, p in enumerate(self.params)
         }

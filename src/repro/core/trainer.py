@@ -163,6 +163,8 @@ class Trainer:
         every rank of a simulated cluster uses.
         """
         n = len(x_train)
+        if n == 0:
+            raise ValueError("empty training set: x_train has no examples")
         result = TrainResult()
         for epoch in range(epochs):
             batch_size = int(batch_schedule(epoch))

@@ -10,7 +10,7 @@ the caller runs the other.  Each half is the same numpy/BLAS call either
 way, so the bits do not depend on whether the helper was taken — only the
 wall time does.
 
-Three rules keep this safe without a setting:
+Four rules keep this safe without a setting:
 
 * **Buffers stay on the caller.**  ``side`` never requests a
   ``Module._buf`` and never drops the last reference to one: the caller
@@ -18,6 +18,11 @@ Three rules keep this safe without a setting:
   whether or not the helper was taken, so a ``MemoryContext`` records the
   same lifetimes under any schedule (``MemoryContext`` raises on a request
   or a recorded free from another thread).
+* **BLAS gate.**  The helper is taken only when BLAS runs one thread, that
+  is when ``OPENBLAS_NUM_THREADS`` (or, when that is unset,
+  ``OMP_NUM_THREADS``) reads 1 at import, as ``perfbench/run.py`` sets
+  it.  Threaded BLAS already runs each call on every core, so the helper
+  has nothing to add there; both halves run inline.
 * **Thread gate.**  The helper is taken only while the live threads, not
   counting the helper, are fewer than the usable cores: simulated ranks
   already fill the cores, so a cluster run never forks.
@@ -26,7 +31,7 @@ Three rules keep this safe without a setting:
   shapes alone — is at least :data:`FORK_MIN_WORK`; below it waking the
   helper costs more than the work it takes over.
 
-When the helper is refused (either gate, or already busy) both calls run
+When the helper is refused (any gate, or already busy) both calls run
 inline on the caller, ``side`` first, or a split batch runs as one call.
 """
 
@@ -47,6 +52,22 @@ FORK_MIN_WORK = 1 << 17
 
 
 _CORES = usable_cores()
+
+
+def _blas_single_threaded(env=os.environ) -> bool:
+    """Whether BLAS runs one thread: OpenBLAS takes its count from the first
+    positive one of these variables, else from the core count."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            count = int(env.get(var, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count == 1
+    return False
+
+
+_BLAS_SINGLE = _blas_single_threaded()
 
 
 class _Helper:
@@ -95,7 +116,7 @@ if hasattr(os, "register_at_fork"):
 def _take(work: int) -> _Helper | None:
     """The helper, reserved for one fork, or ``None`` when a gate refuses."""
     global _helper
-    if work < FORK_MIN_WORK:
+    if work < FORK_MIN_WORK or not _BLAS_SINGLE:
         return None
     helper = _helper
     if threading.active_count() - (helper is not None) >= _CORES:

@@ -83,12 +83,6 @@ class TestLARSUpdates:
             sgd.step(lr=0.1)
         assert np.allclose(bias.data, ref.data)
 
-    def test_custom_exclusion_predicate(self):
-        p = param([3.0, 4.0], name="special")
-        opt = LARS([p], trust_coefficient=0.001,
-                   exclude_from_adaptation=lambda q: q.name == "special")
-        assert opt.local_lr(p) == 1.0
-
     def test_momentum_carries_between_steps(self):
         p = param([1.0, 0.0])
         opt = LARS([p], trust_coefficient=0.01, momentum=0.9, weight_decay=0.0)
@@ -107,13 +101,6 @@ class TestLARSUpdates:
         opt.step(lr=1.0)
         # ratio = ||w||/(0 + 0.5 ||w||) = 2; g_eff = 0.5*w = 1; step = 0.1*2*1 = 0.2
         assert np.allclose(p.data, [2.0 - 0.2])
-
-    def test_clip_trust_bounds_local_lr(self):
-        p = param([100.0])
-        p.grad[:] = [1e-6]
-        opt = LARS([p], trust_coefficient=1.0, momentum=0.0, weight_decay=0.0,
-                   clip_trust=0.5)
-        assert opt.local_lr(p) == 0.5
 
     def test_zero_gradient_is_safe(self):
         p = param([1.0, 1.0])

@@ -273,3 +273,12 @@ def test_train_step_on_empty_batch_names_the_batch():
         trainer.train_step(x[:0], y[:0])
     assert "micro_batch_size" not in str(err.value)
     assert trainer.iteration == 0
+
+
+def test_fit_on_empty_training_set_names_the_set():
+    model = mlp(5, [4], 2)
+    trainer = Trainer(model, SGD(model.parameters()), 0.1)
+    x, y = np.zeros((0, 5)), np.zeros(0, dtype=int)
+    with pytest.raises(ValueError, match="empty training set"):
+        trainer.fit(x, y, x, y, epochs=1, batch_size=8)
+    assert trainer.iteration == 0

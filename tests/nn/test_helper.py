@@ -44,9 +44,10 @@ def _counts(reg):
 
 
 def _schedule(monkeypatch, forked: bool) -> None:
-    """Open both gates (every fork takes the helper) or shut the size gate."""
+    """Open every gate (every fork takes the helper) or shut the size gate."""
     monkeypatch.setattr(parallel, "FORK_MIN_WORK", 1 if forked else 1 << 62)
     monkeypatch.setattr(parallel, "_CORES", 64)
+    monkeypatch.setattr(parallel, "_BLAS_SINGLE", True)
 
 
 LAYERS = {
@@ -201,6 +202,29 @@ def test_gates_refuse_the_helper(monkeypatch, registry):
     assert names[1:] == [threading.current_thread().name] * 3
 
 
+@pytest.mark.parametrize("env,single", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "2"}, False),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "3"}, False),
+])
+def test_blas_gate_reads_the_variables_blas_reads(env, single):
+    assert parallel._blas_single_threaded(env) is single
+
+
+def test_threaded_blas_refuses_the_helper(monkeypatch, registry):
+    _schedule(monkeypatch, True)
+    monkeypatch.setattr(parallel, "_BLAS_SINGLE", False)
+    names = []
+    parallel.both(lambda: names.append(threading.current_thread().name), lambda: None, 1)
+    assert _counts(registry) == (0, 1)
+    assert names == [threading.current_thread().name]
+
+
 def test_concurrent_callers_share_one_helper(monkeypatch, registry):
     """More callers than cores fork at once under a short switch interval:
     every call runs both halves exactly once, though only one caller at a
@@ -244,6 +268,7 @@ def test_cluster_ranks_never_take_the_helper(monkeypatch, registry):
 
     monkeypatch.setattr(parallel, "FORK_MIN_WORK", 1)
     monkeypatch.setattr(parallel, "_CORES", 2)
+    monkeypatch.setattr(parallel, "_BLAS_SINGLE", True)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((64, 3, 8, 8))
     y = rng.integers(0, 4, size=64)
